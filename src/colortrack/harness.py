@@ -16,8 +16,7 @@ from .imaging import Frame, Scene, Shape, render, widen
 from .plant import CameraIntrinsics, CameraPose, PlantState, error_px, plant_step
 from .region import RegionDescriptor, ScanParams, locate
 from .segmentation import (ChromaThreshold, PackedBinaryMask, RgbBoxThreshold,
-                           mask_get, segment_chroma, segment_rgb,
-                           threshold_from_pick)
+                           segment_chroma, segment_rgb, threshold_from_pick)
 
 DEFAULT_SAMPLE_TIME = 1.0 / 10.9  # controller runs once per acquired frame
 

@@ -9,15 +9,6 @@ from typing import Optional
 from .control import PlantModel
 from .region import RegionDescriptor
 
-# Simulation defaults for the two servo axes (degrees per unit command,
-# seconds). These are simulation parameters, not measured values.
-DEFAULT_PAN_MODEL = PlantModel(k=1.0, tau=0.2)
-DEFAULT_TILT_MODEL = PlantModel(k=1.0, tau=0.15)
-
-PAN_RANGE = (-90.0, 90.0)
-TILT_RANGE = (-45.0, 45.0)
-
-
 @dataclass(frozen=True)
 class PlantState:
     """Current output angle of one first-order servo axis."""

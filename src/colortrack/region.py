@@ -1,7 +1,17 @@
-"""Region description: initial-run scan plus counter-clockwise contour walk."""
+"""Region description: initial-run scan plus counter-clockwise contour walk.
+
+The scan and the fill read the mask through one run encoding: horizontal
+runs (row, x0, x1) of set pixels. The initial scan takes the first run wide
+enough; the optional pixel count and centroid come from merging the
+8-connected runs of the traced component (run-based labelling, He, Chao &
+Suzuki, IEEE TIP 17(5), 2008), so their cost grows with the number of runs
+rather than pixels. The limits and the contour length come from the
+Moore-neighborhood walk.
+"""
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
@@ -60,15 +70,35 @@ def find_initial_run(mask: PackedBinaryMask,
     (row, left_x, right_x) or None.
     """
     bits = mask.to_bool()
-    for y in range(mask.height):
-        cols = np.flatnonzero(bits[y])
-        if cols.size == 0:
-            continue
-        breaks = np.flatnonzero(np.diff(cols) > 1)
-        for run in np.split(cols, breaks + 1):
-            if run.size >= params.min_width:
-                return y, int(run[0]), int(run[-1])
+    # A row with fewer set pixels than min_width cannot hold a wide enough
+    # run. The rest are encoded in blocks that double in size, so a hit near
+    # the top costs a few rows, not the whole occupied band.
+    rows = np.flatnonzero(np.count_nonzero(bits, axis=1) >= params.min_width)
+    i, k = 0, 1
+    while i < rows.size:
+        block = rows[i:i + k]
+        ys, x0, x1 = _runs(bits[block])
+        hit = np.flatnonzero(x1 - x0 + 1 >= params.min_width)
+        if hit.size:
+            j = hit[0]
+            return int(block[ys[j]]), int(x0[j]), int(x1[j])
+        i += k
+        k *= 2
     return None
+
+
+def _runs(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Horizontal runs of set pixels as (row, x0, x1) arrays, x1 inclusive.
+
+    Runs are sorted by row, then by x0. Each row is padded with an unset
+    pixel at both ends, so the changes along the flattened rows alternate:
+    run start, then one past the run's end, and no run spans two rows.
+    """
+    h, w = bits.shape
+    padded = np.zeros((h, w + 2), dtype=bool)
+    padded[:, 1:-1] = bits
+    ys, xs = np.divmod(np.flatnonzero(np.diff(padded.ravel())), w + 2)
+    return ys[0::2], xs[0::2], xs[1::2] - 1
 
 
 def trace_contour(mask: PackedBinaryMask, start: tuple[int, int], *,
@@ -76,10 +106,16 @@ def trace_contour(mask: PackedBinaryMask, start: tuple[int, int], *,
                   fill_count: bool = False) -> RegionDescriptor:
     """Counter-clockwise Moore-neighborhood boundary walk from a set pixel.
 
-    stop_rule "jacob" stops when the start pixel is re-entered from the same
-    direction as the first departure; this survives one-pixel-wide spurs,
-    where the naive "start" rule (stop on any return to the start pixel)
-    can cut the walk short. Out-of-bounds neighbors are treated as unset.
+    The start should be the right end of a horizontal run, as
+    `find_initial_run` returns it. stop_rule "jacob" stops when the start
+    pixel is re-entered from the same direction as the first departure;
+    this survives one-pixel-wide spurs, where the naive "start" rule (stop
+    on any return to the start pixel) can cut the walk short.
+    Out-of-bounds neighbors are treated as unset.
+
+    With fill_count, pixel_count and the centroid are those of the start
+    pixel's whole 8-connected component, taken from the run encoding of the
+    whole mask, so they do not depend on where the walk stopped.
     """
     if stop_rule not in ("jacob", "start"):
         raise ValueError(f"unknown stop rule: {stop_rule!r}")
@@ -141,7 +177,7 @@ def trace_contour(mask: PackedBinaryMask, start: tuple[int, int], *,
     pixel_count = None
     centroid = (None, None)
     if fill_count:
-        pixel_count, centroid = _flood_stats(bits, sx, sy)
+        pixel_count, centroid = _component_stats(_runs(bits), sx, sy)
     return RegionDescriptor(
         top=top, bottom=bottom, left=left, right=right,
         center_x=int((left + right) / 2), center_y=int((top + bottom) / 2),
@@ -149,24 +185,42 @@ def trace_contour(mask: PackedBinaryMask, start: tuple[int, int], *,
         centroid_x=centroid[0], centroid_y=centroid[1])
 
 
-def _flood_stats(bits: np.ndarray, sx: int, sy: int):
-    """8-connected flood fill: pixel count and mean-position centroid."""
-    h, w = bits.shape
-    seen = np.zeros_like(bits)
-    stack = [(sx, sy)]
-    seen[sy, sx] = True
-    n = 0
-    sum_x = sum_y = 0
+def _component_stats(runs, sx: int, sy: int):
+    """Pixel count and mean-position centroid of the 8-connected component
+    holding set pixel (sx, sy), from the runs of the whole mask.
+
+    Runs in adjacent rows touch when x0_a <= x1_b + 1 and x0_b <= x1_a + 1.
+    Sums are exact integers, divided once at the end.
+    """
+    rows, x0s, x1s = (a.tolist() for a in runs)
+    last = rows[-1]
+    starts = np.searchsorted(runs[0], np.arange(last + 2)).tolist()
+
+    def first_touching(y, x):
+        # first run of row y whose x1 >= x, by bisection over that row
+        return bisect_left(x1s, x, starts[y], starts[y + 1])
+
+    i = first_touching(sy, sx)
+    seen = {i}
+    stack = [i]
+    n = sum_x = sum_y = 0
     while stack:
-        x, y = stack.pop()
-        n += 1
-        sum_x += x
-        sum_y += y
-        for dx, dy in zip(_DX, _DY):
-            nx, ny = x + dx, y + dy
-            if 0 <= nx < w and 0 <= ny < h and bits[ny, nx] and not seen[ny, nx]:
-                seen[ny, nx] = True
-                stack.append((nx, ny))
+        i = stack.pop()
+        y, a, b = rows[i], x0s[i], x1s[i]
+        size = b - a + 1
+        n += size
+        sum_x += (a + b) * size // 2
+        sum_y += y * size
+        for ny in (y - 1, y + 1):
+            if not 0 <= ny <= last:
+                continue
+            j = first_touching(ny, a - 1)
+            end = starts[ny + 1]
+            while j < end and x0s[j] <= b + 1:
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+                j += 1
     return n, (sum_x / n, sum_y / n)
 
 

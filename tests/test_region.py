@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from colortrack.harness import Scenario
 from colortrack.imaging import render
 from colortrack.plant import CameraPose
-from colortrack.region import (RegionDescriptor, ScanParams, find_initial_run,
-                               locate, trace_contour)
+from colortrack.region import (RegionDescriptor, ScanParams, _component_stats,
+                               _runs, find_initial_run, locate, trace_contour)
 from colortrack.segmentation import PackedBinaryMask
 
 
@@ -15,8 +15,12 @@ def mask_from(bits):
     return PackedBinaryMask.from_bool(np.asarray(bits, dtype=bool))
 
 
-def flood_bbox(bits, seed):
-    """8-connected flood-fill bounding box, the independent oracle."""
+def flood_oracle(bits, seed):
+    """8-connected flood fill from seed, the independent oracle.
+
+    Returns the bounding box (top, bottom, left, right), the pixel count and
+    the mean-position centroid (x, y).
+    """
     h, w = bits.shape
     seen = np.zeros_like(bits)
     stack = [seed]
@@ -33,7 +37,36 @@ def flood_bbox(bits, seed):
                         and not seen[ny, nx]):
                     seen[ny, nx] = True
                     stack.append((nx, ny))
-    return min(ys), max(ys), min(xs), max(xs)
+    n = len(xs)
+    return ((min(ys), max(ys), min(xs), max(xs)), n,
+            (sum(xs) / n, sum(ys) / n))
+
+
+def reference_initial_run(bits, min_width):
+    """Per-row scan for the first run of >= min_width set pixels."""
+    for y in range(bits.shape[0]):
+        cols = np.flatnonzero(bits[y])
+        if cols.size == 0:
+            continue
+        breaks = np.flatnonzero(np.diff(cols) > 1)
+        for run in np.split(cols, breaks + 1):
+            if run.size >= min_width:
+                return y, int(run[0]), int(run[-1])
+    return None
+
+
+def run_end(bits, x, y):
+    """Right end of the horizontal run holding set pixel (x, y)."""
+    while x + 1 < bits.shape[1] and bits[y, x + 1]:
+        x += 1
+    return x
+
+
+def assert_fill_matches_oracle(bits, start, stop_rule):
+    _, n, centroid = flood_oracle(bits, start)
+    reg = trace_contour(mask_from(bits), start, stop_rule=stop_rule,
+                        fill_count=True)
+    assert (reg.pixel_count, reg.centroid_x, reg.centroid_y) == (n, *centroid)
 
 
 def test_scan_params_validation():
@@ -133,7 +166,7 @@ def test_trace_limits_match_flood_fill(seed):
     row, _, right = run
     reg = trace_contour(mask, (right, row))
     assert (reg.top, reg.bottom, reg.left, reg.right) == \
-        flood_bbox(bits, (right, row))
+        flood_oracle(bits, (right, row))[0]
 
 
 @given(st.integers(0, 10**9))
@@ -145,8 +178,101 @@ def test_trace_limits_match_flood_fill_property(seed):
     row, _, right = find_initial_run(mask, ScanParams(1))
     reg = trace_contour(mask, (right, row))
     assert (reg.top, reg.bottom, reg.left, reg.right) == \
-        flood_bbox(bits, (right, row))
+        flood_oracle(bits, (right, row))[0]
     assert reg.contour_length <= 4 * 32 * 32
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (4, 3)])
+def test_exhaustive_small_masks(shape):
+    # every 3x4 and 4x3 mask: the scan against the per-row reference, and
+    # the fill from each start against the flood-fill oracle
+    h, w = shape
+    place = np.arange(h * w).reshape(shape)
+    for code in range(1 << (h * w)):
+        bits = (code >> place) & 1 == 1
+        mask = mask_from(bits)
+        starts = set()
+        for min_width in (1, 2, 3):
+            run = find_initial_run(mask, ScanParams(min_width))
+            assert run == reference_initial_run(bits, min_width), (code, min_width)
+            if run is not None:
+                starts.add((run[2], run[0]))
+        for start in starts:
+            for stop_rule in ("jacob", "start"):
+                assert_fill_matches_oracle(bits, start, stop_rule)
+
+
+random_masks = st.builds(
+    lambda seed, density: np.random.default_rng(seed).random((32, 32)) < density,
+    st.integers(0, 2**32 - 1), st.floats(0.1, 0.9))
+
+
+@given(random_masks)
+@settings(max_examples=100, deadline=None)
+def test_runs_round_trip_property(bits):
+    rows, x0, x1 = _runs(bits)
+    rebuilt = np.zeros_like(bits)
+    for y, a, b in zip(rows, x0, x1):
+        assert not rebuilt[y, a:b + 1].any()
+        rebuilt[y, a:b + 1] = True
+    assert np.array_equal(rebuilt, bits)
+    # sorted by (row, x0), and runs in one row never touch
+    order = np.lexsort((x0, rows))
+    assert np.array_equal(order, np.arange(rows.size))
+    same_row = rows[1:] == rows[:-1]
+    assert np.all(x0[1:][same_row] > x1[:-1][same_row] + 1)
+
+
+@given(random_masks, st.integers(0, 2**32 - 1), st.sampled_from(["jacob", "start"]))
+@settings(max_examples=100, deadline=None)
+def test_fill_from_any_pixel_property(bits, pick, stop_rule):
+    ys, xs = np.nonzero(bits)
+    if ys.size == 0:
+        return
+    x, y = int(xs[pick % ys.size]), int(ys[pick % ys.size])
+    _, n, centroid = flood_oracle(bits, (x, y))
+    assert _component_stats(_runs(bits), x, y) == (n, centroid)
+    # from the right end of that pixel's run, as the walk needs, the stats
+    # hold under both stop rules: the fill must not stop where the walk does
+    assert_fill_matches_oracle(bits, (run_end(bits, x, y), y), stop_rule)
+
+
+def disk(h, w, cx, cy, r):
+    yy, xx = np.mgrid[:h, :w]
+    return (xx - cx) ** 2 + (yy - cy) ** 2 <= r * r
+
+
+def test_fill_skips_disk_inside_ring_hole():
+    ring = disk(25, 25, 12, 12, 10) & ~disk(25, 25, 12, 12, 7)
+    inner = disk(25, 25, 12, 12, 3)
+    bits = ring | inner
+    reg = locate(mask_from(bits), ScanParams(3), fill_count=True)
+    assert (reg.top, reg.bottom, reg.left, reg.right) == (2, 22, 2, 22)
+    assert reg.pixel_count == int(ring.sum())
+    assert (reg.centroid_x, reg.centroid_y) == (12.0, 12.0)
+    reg = trace_contour(mask_from(bits), (15, 12), fill_count=True)
+    assert reg.pixel_count == int(inner.sum())
+
+
+def test_fill_object_touching_right_and_bottom_edges():
+    bits = np.zeros((16, 20), dtype=bool)
+    bits[11:, 14:] = True  # 6 wide, 5 tall, in the bottom-right corner
+    reg = locate(mask_from(bits), ScanParams(3), fill_count=True)
+    assert (reg.top, reg.bottom, reg.left, reg.right) == (11, 15, 14, 19)
+    assert reg.pixel_count == 30
+    assert (reg.centroid_x, reg.centroid_y) == (16.5, 13.0)
+
+
+@pytest.mark.parametrize("slope", [1, -1])
+def test_fill_diagonal_chain_joins_at_corners(slope):
+    bits = np.zeros((8, 8), dtype=bool)
+    for i in range(8):
+        bits[i, i if slope == 1 else 7 - i] = True
+    assert len(_runs(bits)[0]) == 8
+    reg = locate(mask_from(bits), ScanParams(1), fill_count=True)
+    assert (reg.top, reg.bottom, reg.left, reg.right) == (0, 7, 0, 7)
+    assert reg.pixel_count == 8
+    assert (reg.centroid_x, reg.centroid_y) == (3.5, 3.5)
 
 
 def test_locate_centered_disk():
