@@ -112,7 +112,7 @@ class Scenario:
         return segment_rgb(frame, threshold)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrajectoryRow:
     t: float
     ex: float

@@ -6,7 +6,9 @@ enough; the optional pixel count and centroid come from merging the
 8-connected runs of the traced component (run-based labelling, He, Chao &
 Suzuki, IEEE TIP 17(5), 2008), so their cost grows with the number of runs
 rather than pixels. The limits and the contour length come from the
-Moore-neighborhood walk.
+Moore-neighborhood walk, which `locate` starts on the top row of the first
+qualifying run's component, where the start's east neighbour is outer
+background.
 """
 
 from __future__ import annotations
@@ -185,12 +187,13 @@ def trace_contour(mask: PackedBinaryMask, start: tuple[int, int], *,
         centroid_x=centroid[0], centroid_y=centroid[1])
 
 
-def _component_stats(runs, sx: int, sy: int):
-    """Pixel count and mean-position centroid of the 8-connected component
-    holding set pixel (sx, sy), from the runs of the whole mask.
+def _component_runs(runs, sx: int, sy: int):
+    """Yield the runs (row, x0, x1) of the 8-connected component holding set
+    pixel (sx, sy), from the runs of the whole mask.
 
     Runs in adjacent rows touch when x0_a <= x1_b + 1 and x0_b <= x1_a + 1.
-    Sums are exact integers, divided once at the end.
+    The walk is depth-first and visits the row above before the row below,
+    so a caller looking for the component's top row reaches it early.
     """
     rows, x0s, x1s = (a.tolist() for a in runs)
     last = rows[-1]
@@ -203,15 +206,11 @@ def _component_stats(runs, sx: int, sy: int):
     i = first_touching(sy, sx)
     seen = {i}
     stack = [i]
-    n = sum_x = sum_y = 0
     while stack:
         i = stack.pop()
         y, a, b = rows[i], x0s[i], x1s[i]
-        size = b - a + 1
-        n += size
-        sum_x += (a + b) * size // 2
-        sum_y += y * size
-        for ny in (y - 1, y + 1):
+        yield y, a, b
+        for ny in (y + 1, y - 1):  # the last pushed is popped first
             if not 0 <= ny <= last:
                 continue
             j = first_touching(ny, a - 1)
@@ -221,16 +220,44 @@ def _component_stats(runs, sx: int, sy: int):
                     seen.add(j)
                     stack.append(j)
                 j += 1
+
+
+def _component_stats(runs, sx: int, sy: int):
+    """Pixel count and mean-position centroid of the 8-connected component
+    holding set pixel (sx, sy), from the runs of the whole mask.
+
+    Sums are exact integers, divided once at the end.
+    """
+    n = sum_x = sum_y = 0
+    for y, a, b in _component_runs(runs, sx, sy):
+        size = b - a + 1
+        n += size
+        sum_x += (a + b) * size // 2
+        sum_y += y * size
     return n, (sum_x / n, sum_y / n)
 
 
 def locate(mask: PackedBinaryMask, params: ScanParams = ScanParams(), *,
            stop_rule: str = "jacob",
            fill_count: bool = False) -> Optional[RegionDescriptor]:
-    """Scan for the first qualifying run and trace its contour."""
+    """Scan for the first qualifying run and trace its component's contour.
+
+    The walk starts at the right end of the topmost run of that run's
+    8-connected component. The first qualifying run itself may lie below
+    narrower runs of its component, and then its east neighbour can be a
+    hole pixel, whose boundary the walk would trace instead of the outer one.
+    """
     run = find_initial_run(mask, params)
     if run is None:
         return None
     row, _, right_x = run
-    return trace_contour(mask, (right_x, row), stop_rule=stop_rule,
+    runs = _runs(mask.to_bool())
+    first_row = int(runs[0][0])
+    top = row
+    for y, _, x1 in _component_runs(runs, right_x, row):
+        if y < top:
+            top, right_x = y, x1
+        if top == first_row:
+            break  # no set pixel lies above the mask's first row
+    return trace_contour(mask, (right_x, top), stop_rule=stop_rule,
                          fill_count=fill_count)

@@ -1,7 +1,11 @@
-"""Per-pixel color thresholding into a bit-packed binary mask.
+"""Color thresholding into a bit-packed binary mask, by one table lookup.
 
 Two threshold spaces are supported: a raw-RGB box, and rg chromaticity
 (normalized RGB), which is approximately invariant to illumination level.
+An RGB565 pixel has only 65,536 values, so either threshold is fully
+described by a verdict table indexed by the word: each call builds the
+table once, over the (r5, g6, b5) field grid, and segmenting a frame is one
+lookup per pixel (Bruce, Balch & Veloso, CMVision, IROS 2000).
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imaging import Frame
+from .imaging import Frame, widen_channels
 
 WORD_BITS = 32
 
@@ -166,27 +170,46 @@ def threshold_from_pick(color: tuple[int, int, int], mode: str, *,
     raise ValueError(f"unknown threshold mode: {mode!r}")
 
 
+def _verdict_table(t) -> np.ndarray:
+    """Segmentation verdict for every RGB565 word, a (65536,) bool array.
+
+    The verdicts are computed over the (32, 64, 32) grid of (r5, g6, b5)
+    fields, whose C-order index is the word itself.
+    """
+    r = widen_channels(np.arange(32) << 11)[:, 0].reshape(32, 1, 1)
+    g = widen_channels(np.arange(64) << 5)[:, 1].reshape(1, 64, 1)
+    b = widen_channels(np.arange(32))[:, 2].reshape(1, 1, 32)
+    if isinstance(t, RgbBoxThreshold):
+        table = ((r >= t.r_min) & (r <= t.r_max)
+                 & (g >= t.g_min) & (g <= t.g_max)
+                 & (b >= t.b_min) & (b <= t.b_max))
+    else:
+        r, g, b = (c.astype(np.int32) for c in (r, g, b))
+        i = r + g + b
+        # Only word 0 has I = 0; I >= i_min >= 1 rejects it whatever r/i is.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cr = r / i
+            cg = g / i
+        table = ((i >= t.i_min)
+                 & (cr >= t.r_min) & (cr <= t.r_max)
+                 & (cg >= t.g_min) & (cg <= t.g_max))
+    return table.reshape(-1)
+
+
 def segment_rgb(frame: Frame, t: RgbBoxThreshold) -> PackedBinaryMask:
-    """Bit set iff all three widened channels fall inside their ranges."""
-    rgb = frame.widened()
-    r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
-    bits = ((r >= t.r_min) & (r <= t.r_max)
-            & (g >= t.g_min) & (g <= t.g_max)
-            & (b >= t.b_min) & (b <= t.b_max))
-    return PackedBinaryMask.from_bool(bits)
+    """Bit set iff all three widened channels fall inside their ranges.
+
+    One lookup per pixel into the threshold's verdict table.
+    """
+    return PackedBinaryMask.from_bool(np.take(_verdict_table(t), frame.pixels))
 
 
 def segment_chroma(frame: Frame, t: ChromaThreshold) -> PackedBinaryMask:
-    """Bit set iff I >= i_min and (r, g) chromaticity falls inside the box."""
-    rgb = frame.widened().astype(np.int32)
-    i = rgb[..., 0] + rgb[..., 1] + rgb[..., 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.where(i > 0, rgb[..., 0] / i, 0.0)
-        g = np.where(i > 0, rgb[..., 1] / i, 0.0)
-    bits = ((i >= t.i_min)
-            & (r >= t.r_min) & (r <= t.r_max)
-            & (g >= t.g_min) & (g <= t.g_max))
-    return PackedBinaryMask.from_bool(bits)
+    """Bit set iff I >= i_min and (r, g) chromaticity falls inside the box.
+
+    One lookup per pixel into the threshold's verdict table.
+    """
+    return PackedBinaryMask.from_bool(np.take(_verdict_table(t), frame.pixels))
 
 
 def write_pbm(mask: PackedBinaryMask, path) -> None:

@@ -171,6 +171,32 @@ def test_scenario_deterministic():
     assert m1 == m2
 
 
+@pytest.mark.parametrize("mode", ["chroma", "rgb"])
+def test_scenario_segments_through_harness_names(monkeypatch, mode):
+    # the benchmark traces segmentation by patching these names in harness,
+    # so every frame must call the segmenter through them
+    calls = {"segment_chroma": 0, "segment_rgb": 0}
+    for name in calls:
+        def counting(frame, t, name=name, segment=getattr(harness, name)):
+            calls[name] += 1
+            return segment(frame, t)
+        monkeypatch.setattr(harness, name, counting)
+    s = Scenario(duration=3 * harness.DEFAULT_SAMPLE_TIME, mode=mode)
+    rec, _ = run_scenario(s)
+    assert len(rec.rows) == 3
+    assert calls == {"segment_chroma": 3 * (mode == "chroma"),
+                     "segment_rgb": 3 * (mode == "rgb")}
+
+
+def test_trajectory_row_pickle_and_copy():
+    import copy
+    import pickle
+    row = TrajectoryRow(0.1, 2.0, -3.0, 0.5, 0.25, 1.0, -1.0, 160, 120, True)
+    assert pickle.loads(pickle.dumps(row)) == row
+    assert copy.copy(row) == row and copy.deepcopy(row) == row
+    assert not hasattr(row, "__dict__")
+
+
 def test_infeasible_spec_propagates():
     from colortrack.control import LoopSpec, PlantModel
     s = Scenario(kind="step_track", pan_model=PlantModel(1.0, 0.1),

@@ -182,10 +182,21 @@ def test_trace_limits_match_flood_fill_property(seed):
     assert reg.contour_length <= 4 * 32 * 32
 
 
+def assert_locate_limits_match_oracle(bits, min_width):
+    reg = locate(mask_from(bits), ScanParams(min_width))
+    run = reference_initial_run(bits, min_width)
+    if run is None:
+        assert reg is None
+        return
+    box = flood_oracle(bits, (run[2], run[0]))[0]
+    assert (reg.top, reg.bottom, reg.left, reg.right) == box
+
+
 @pytest.mark.parametrize("shape", [(3, 4), (4, 3)])
 def test_exhaustive_small_masks(shape):
-    # every 3x4 and 4x3 mask: the scan against the per-row reference, and
-    # the fill from each start against the flood-fill oracle
+    # every 3x4 and 4x3 mask: the scan against the per-row reference,
+    # locate's limits against the flood-fill oracle's box, and the fill
+    # from each start against the flood-fill oracle
     h, w = shape
     place = np.arange(h * w).reshape(shape)
     for code in range(1 << (h * w)):
@@ -197,9 +208,31 @@ def test_exhaustive_small_masks(shape):
             assert run == reference_initial_run(bits, min_width), (code, min_width)
             if run is not None:
                 starts.add((run[2], run[0]))
+            assert_locate_limits_match_oracle(bits, min_width)
         for start in starts:
             for stop_rule in ("jacob", "start"):
                 assert_fill_matches_oracle(bits, start, stop_rule)
+
+
+@pytest.mark.parametrize("rows, min_width, run, limits, count", [
+    # the first run of width >= 2 is row 1's; the pixel east of it is a hole
+    # of the component, whose top is the single pixel of row 0
+    (["0010",
+      "1101",
+      "0010"], 2, (1, 0, 1), (0, 2, 0, 3), 5),
+    # two rows below the top: the run in between also has a hole east of it
+    (["000011",
+      "001101",
+      "111010",
+      "100010"], 3, (2, 0, 2), (0, 3, 0, 5), 11),
+], ids=["one-row-below", "two-rows-below"])
+def test_locate_first_wide_run_below_its_component_top(rows, min_width, run,
+                                                       limits, count):
+    bits = np.array([[c == "1" for c in row] for row in rows])
+    assert find_initial_run(mask_from(bits), ScanParams(min_width)) == run
+    reg = locate(mask_from(bits), ScanParams(min_width), fill_count=True)
+    assert (reg.top, reg.bottom, reg.left, reg.right) == limits
+    assert reg.pixel_count == count
 
 
 random_masks = st.builds(
@@ -235,6 +268,12 @@ def test_fill_from_any_pixel_property(bits, pick, stop_rule):
     # from the right end of that pixel's run, as the walk needs, the stats
     # hold under both stop rules: the fill must not stop where the walk does
     assert_fill_matches_oracle(bits, (run_end(bits, x, y), y), stop_rule)
+
+
+@given(random_masks, st.integers(1, 4))
+@settings(max_examples=100, deadline=None)
+def test_locate_limits_match_flood_fill_property(bits, min_width):
+    assert_locate_limits_match_oracle(bits, min_width)
 
 
 def disk(h, w, cx, cy, r):

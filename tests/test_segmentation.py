@@ -1,11 +1,13 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from colortrack import segmentation as seg
+from colortrack.harness import Scenario
 from colortrack.imaging import Frame, widen
 from colortrack.segmentation import (ChromaThreshold, PackedBinaryMask,
                                      RgbBoxThreshold, chromaticity, luminance,
@@ -13,21 +15,25 @@ from colortrack.segmentation import (ChromaThreshold, PackedBinaryMask,
                                      segment_rgb, threshold_from_pick)
 
 
+def naive_verdict(r, g, b, threshold):
+    """Scalar segmentation rule for one pixel's widened channels."""
+    if isinstance(threshold, RgbBoxThreshold):
+        return (threshold.r_min <= r <= threshold.r_max
+                and threshold.g_min <= g <= threshold.g_max
+                and threshold.b_min <= b <= threshold.b_max)
+    i = r + g + b
+    return (i >= threshold.i_min and i > 0
+            and threshold.r_min <= r / i <= threshold.r_max
+            and threshold.g_min <= g / i <= threshold.g_max)
+
+
 def naive_bits(frame, threshold):
     """Unpacked per-pixel reference segmentation (no bit packing)."""
     out = np.zeros((frame.height, frame.width), dtype=bool)
     for y in range(frame.height):
         for x in range(frame.width):
-            r, g, b = widen(int(frame.pixels[y, x]))
-            if isinstance(threshold, RgbBoxThreshold):
-                out[y, x] = (threshold.r_min <= r <= threshold.r_max
-                             and threshold.g_min <= g <= threshold.g_max
-                             and threshold.b_min <= b <= threshold.b_max)
-            else:
-                i = r + g + b
-                out[y, x] = (i >= threshold.i_min and i > 0
-                             and threshold.r_min <= r / i <= threshold.r_max
-                             and threshold.g_min <= g / i <= threshold.g_max)
+            out[y, x] = naive_verdict(*widen(int(frame.pixels[y, x])),
+                                      threshold)
     return out
 
 
@@ -237,3 +243,54 @@ def test_segment_rgb_not_illumination_invariant():
     chroma_t = threshold_from_pick(widen(narrow(*color)), "chroma")
     assert segment_rgb(dim, rgb_t).count() < 0.5 * 256
     assert segment_chroma(dim, chroma_t).count() >= 0.95 * 256
+
+
+# -- exhaustive over every RGB565 word ---------------------------------------
+
+# pixel (x, y) of this frame holds word 256*y + x: every word exactly once
+ALL_WORDS = Frame(256, 256, np.arange(0x10000, dtype=np.uint16).reshape(256, 256))
+WIDENED = [widen(w) for w in range(0x10000)]
+
+
+def assert_every_word_matches_oracle(threshold):
+    segment = (segment_rgb if isinstance(threshold, RgbBoxThreshold)
+               else segment_chroma)
+    expected = [naive_verdict(r, g, b, threshold) for r, g, b in WIDENED]
+    got = segment(ALL_WORDS, threshold).to_bool().reshape(-1)
+    assert got.tolist() == expected
+
+
+STOCK = Scenario()
+
+
+@pytest.mark.parametrize("threshold", [
+    STOCK.picked_threshold("chroma"),
+    STOCK.picked_threshold("rgb"),
+    replace(STOCK, i_min=1).picked_threshold("chroma"),
+    replace(STOCK, chroma_margin=0.0).picked_threshold("chroma"),
+    replace(STOCK, rgb_margin=0).picked_threshold("rgb"),
+    RgbBoxThreshold(0, 255, 0, 255, 0, 255),
+    ChromaThreshold(0.0, 1.0, 0.0, 1.0),
+    ChromaThreshold(0.0, 1.0, 0.0, 1.0, i_min=1),
+    ChromaThreshold(1 / 3, 1 / 3, 1 / 3, 1 / 3, i_min=1),
+    # bounds a hair off exact ratios: only float64 division decides these
+    ChromaThreshold(0.5 + 1e-12, 1.0, 0.0, 1.0, i_min=1),
+    ChromaThreshold(0.0, 1.0, 0.0, 1 / 3 - 1e-12, i_min=1),
+], ids=["stock-chroma", "stock-rgb", "chroma-i_min-1", "chroma-margin-0",
+        "rgb-margin-0", "rgb-full", "chroma-full", "chroma-full-i_min-1",
+        "chroma-one-third", "chroma-r-just-above-half",
+        "chroma-g-just-below-third"])
+def test_segmenters_match_oracle_on_every_word(threshold):
+    assert_every_word_matches_oracle(threshold)
+
+
+@given(st.tuples(st.integers(0, 255), st.integers(0, 255), st.integers(0, 255)),
+       st.sampled_from(["rgb", "chroma"]), st.integers(0, 128),
+       st.floats(0.0, 0.5), st.integers(1, 765))
+@settings(max_examples=40, deadline=None)
+def test_segmenters_match_oracle_on_every_word_property(pick, mode, rgb_margin,
+                                                        chroma_margin, i_min):
+    assume(mode == "rgb" or any(pick))  # a black pick has no chromaticity
+    assert_every_word_matches_oracle(threshold_from_pick(
+        pick, mode, rgb_margin=rgb_margin, chroma_margin=chroma_margin,
+        i_min=i_min))
