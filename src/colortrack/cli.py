@@ -1,4 +1,4 @@
-"""Command-line interface: design, segment, track, clock, sweep, render, bench."""
+"""Command-line interface: design, segment, track, clock, sweep, render."""
 
 from __future__ import annotations
 
@@ -14,18 +14,11 @@ from .plant import CameraPose
 from .region import ScanParams, locate
 
 
-def _color(text: str) -> tuple[int, int, int]:
-    parts = [int(p) for p in text.split(",")]
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("expected R,G,B")
-    return tuple(parts)
-
-
 def _scenario_from_args(args) -> Scenario:
     values = {}
-    if getattr(args, "config", None):
+    if args.config:
         values.update(cfgmod.parse_config(args.config))
-    for item in getattr(args, "set", None) or []:
+    for item in args.set or []:
         if "=" not in item:
             raise ValueError(f"--set expects key=value, got {item!r}")
         key, _, val = item.partition("=")
@@ -100,8 +93,8 @@ def cmd_clock(args) -> int:
     radius_deg = args.radius_px / scenario.intrinsics.ppd_x
     scenario = replace(
         scenario, kind="clock_motion",
-        motion=harness.ObjectMotion(kind="circular", radius=radius_deg,
-                                    period=args.period))
+        motion=replace(scenario.motion, kind="circular", radius=radius_deg,
+                       period=args.period))
     metrics = _run_and_save(scenario, args)
     print(f"mean_radius_px: {metrics.mean_radius:.6g}")
     print(f"radius_std_px: {metrics.radius_std:.6g}")
@@ -133,17 +126,10 @@ def cmd_render(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    scenario = Scenario()
-    frame = imaging.render(scenario.scene_at(0.0), CameraPose(),
-                           scenario.intrinsics)
-    results = harness.bench_segmentation(
-        frame, scenario.picked_threshold("rgb"),
-        scenario.picked_threshold("chroma"), args.iterations)
-    for name, r in results.items():
-        print("%s: %.4g px/s (%.3g fps at 320x240)"
-              % (name, r["pixels_per_s"], r["fps_qvga"]))
-    return 0
+def _add_scenario_args(p) -> None:
+    p.add_argument("--config", help="flat key = value scenario file")
+    p.add_argument("--set", action="append", metavar="KEY=VALUE",
+                   help="override a config value (repeatable)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -164,30 +150,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("image", help="PPM (P6) or raw .rgb565 input")
     p.add_argument("--width", type=int, help="raw input width")
     p.add_argument("--height", type=int, help="raw input height")
-    p.add_argument("--pick", type=_color, required=True,
+    p.add_argument("--pick", type=cfgmod.parse_color, required=True,
                    help="picked color R,G,B (8-bit)")
-    p.add_argument("--mode", choices=("rgb", "chroma"), default="chroma")
-    p.add_argument("--rgb-margin", type=int, default=24)
-    p.add_argument("--chroma-margin", type=float, default=0.05)
-    p.add_argument("--i-min", type=int, default=30)
-    p.add_argument("--min-width", type=int, default=3)
+    p.add_argument("--mode", choices=("rgb", "chroma"), default=Scenario.mode)
+    p.add_argument("--rgb-margin", type=int, default=Scenario.rgb_margin)
+    p.add_argument("--chroma-margin", type=float,
+                   default=Scenario.chroma_margin)
+    p.add_argument("--i-min", type=int, default=Scenario.i_min)
+    p.add_argument("--min-width", type=int, default=Scenario.min_width)
     p.add_argument("--mask-out", help="write mask as PBM (P4)")
     p.add_argument("--words-out", help="write raw packed mask words")
     p.set_defaults(func=cmd_segment)
 
-    def add_scenario_args(p):
-        p.add_argument("--config", help="flat key = value scenario file")
-        p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                       help="override a config value (repeatable)")
-        p.add_argument("--csv", help="write per-frame trajectory CSV")
-        p.add_argument("--report", help="write metrics report")
-
     p = sub.add_parser("track", help="closed-loop tracking scenario")
-    add_scenario_args(p)
+    _add_scenario_args(p)
+    p.add_argument("--csv", help="write per-frame trajectory CSV")
+    p.add_argument("--report", help="write metrics report")
     p.set_defaults(func=cmd_track)
 
     p = sub.add_parser("clock", help="circular motion with tracking disabled")
-    add_scenario_args(p)
+    _add_scenario_args(p)
+    p.add_argument("--csv", help="write per-frame trajectory CSV")
+    p.add_argument("--report", help="write metrics report")
     p.add_argument("--radius-px", type=float, default=87.57,
                    help="circle radius in pixels")
     p.add_argument("--period", type=float, default=3.82,
@@ -195,24 +179,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_clock)
 
     p = sub.add_parser("sweep", help="illumination sweep, both segmenters")
-    p.add_argument("--config", help="flat key = value scenario file")
-    p.add_argument("--set", action="append", metavar="KEY=VALUE")
+    _add_scenario_args(p)
     p.add_argument("--levels", type=float, nargs="+",
                    default=[1.0, 0.8, 0.6, 0.4])
     p.add_argument("--out", help="write the sweep table to a file")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("render", help="render one synthetic frame")
-    p.add_argument("--config", help="flat key = value scenario file")
-    p.add_argument("--set", action="append", metavar="KEY=VALUE")
+    _add_scenario_args(p)
     p.add_argument("--time", type=float, default=0.0,
                    help="trajectory time of the frame, s")
     p.add_argument("--out", required=True, help=".ppm or .rgb565 output")
     p.set_defaults(func=cmd_render)
-
-    p = sub.add_parser("bench", help="segmentation throughput")
-    p.add_argument("--iterations", type=int, default=20)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -1,49 +1,40 @@
 """Flat key = value scenario configuration files.
 
 Lines are `key = value`; blank lines and `#` comments are ignored.
-CLI flags override file values. Recognized keys are documented in the
-README; unknown keys are rejected to catch typos.
+CLI flags override file values. The keys are the fields of `Scenario`,
+with each nested dataclass flattened to one key per field; unknown keys
+are rejected to catch typos. A value is parsed by the type of the field's
+default, and a tuple default is parsed as an `r,g,b` colour.
 """
 
 from __future__ import annotations
 
-from .control import LoopSpec, PlantModel
-from .harness import DEFAULT_SAMPLE_TIME, ObjectMotion, Scenario
-from .plant import CameraIntrinsics
+from dataclasses import fields, replace
 
-_SCALAR_KEYS = {
-    "kind": str,
-    "duration": float,
-    "sample_time": float,
-    "seed": int,
-    "width": int,
-    "height": int,
-    "ppd_x": float,
-    "ppd_y": float,
-    "pan_k": float,
-    "pan_tau": float,
-    "tilt_k": float,
-    "tilt_tau": float,
-    "ts": float,
-    "po": float,
-    "motion": str,
-    "motion_az": float,
-    "motion_el": float,
-    "motion_radius": float,
-    "motion_period": float,
-    "motion_phase": float,
-    "object_kind": str,
-    "object_size": float,
-    "illumination": float,
-    "mode": str,
-    "rgb_margin": int,
-    "chroma_margin": float,
-    "i_min": int,
-    "min_width": int,
-    "u_min": float,
-    "u_max": float,
-}
-_COLOR_KEYS = {"background", "object_color"}
+from .harness import Scenario
+
+# Key prefix of each nested dataclass field; ObjectMotion.kind is `motion`.
+_PREFIXES = {"intrinsics": "", "pan_model": "pan_", "tilt_model": "tilt_",
+             "spec": "", "motion": "motion_"}
+
+
+def _key_table() -> dict:
+    """Config key -> (nested Scenario field or None, field name, default)."""
+    default = Scenario()
+    table = {}
+    for f in fields(Scenario):
+        value = getattr(default, f.name)
+        if f.name not in _PREFIXES:
+            table[f.name] = (None, f.name, value)
+            continue
+        for sub in fields(value):
+            key = _PREFIXES[f.name] + sub.name
+            table["motion" if key == "motion_kind" else key] = (
+                f.name, sub.name, getattr(value, sub.name))
+    return table
+
+
+KEYS = _key_table()
 
 
 def parse_config(path) -> dict:
@@ -60,7 +51,7 @@ def parse_config(path) -> dict:
     return values
 
 
-def _parse_color(text: str) -> tuple[int, int, int]:
+def parse_color(text: str) -> tuple[int, int, int]:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 3:
         raise ValueError(f"expected 'r,g,b', got {text!r}")
@@ -69,48 +60,21 @@ def _parse_color(text: str) -> tuple[int, int, int]:
 
 def scenario_from_config(values: dict) -> Scenario:
     """Build a Scenario from string key/value pairs, validating keys."""
-    defaults = Scenario()
-    parsed = {}
+    top, nested = {}, {}
     for key, text in values.items():
-        if key in _COLOR_KEYS:
-            parsed[key] = _parse_color(text)
-        elif key in _SCALAR_KEYS:
-            parsed[key] = _SCALAR_KEYS[key](text)
-        else:
+        if key not in KEYS:
             raise ValueError(f"unknown config key: {key!r}")
-
-    def get(key, fallback):
-        return parsed.get(key, fallback)
-
-    intr = CameraIntrinsics(
-        width=get("width", 320), height=get("height", 240),
-        ppd_x=get("ppd_x", 8.0), ppd_y=get("ppd_y", 8.0))
-    motion = ObjectMotion(
-        kind=get("motion", "fixed"),
-        az=get("motion_az", 0.0), el=get("motion_el", 0.0),
-        radius=get("motion_radius", 0.0),
-        period=get("motion_period", 1.0),
-        phase=get("motion_phase", 0.0))
-    return Scenario(
-        kind=get("kind", defaults.kind),
-        duration=get("duration", defaults.duration),
-        sample_time=get("sample_time", DEFAULT_SAMPLE_TIME),
-        seed=get("seed", 0),
-        intrinsics=intr,
-        pan_model=PlantModel(get("pan_k", 1.0), get("pan_tau", 0.2)),
-        tilt_model=PlantModel(get("tilt_k", 1.0), get("tilt_tau", 0.2)),
-        spec=LoopSpec(ts=get("ts", 1.6), po=get("po", 5.0)),
-        motion=motion,
-        background=get("background", defaults.background),
-        object_color=get("object_color", defaults.object_color),
-        object_kind=get("object_kind", defaults.object_kind),
-        object_size=get("object_size", defaults.object_size),
-        illumination=get("illumination", defaults.illumination),
-        mode=get("mode", defaults.mode),
-        rgb_margin=get("rgb_margin", defaults.rgb_margin),
-        chroma_margin=get("chroma_margin", defaults.chroma_margin),
-        i_min=get("i_min", defaults.i_min),
-        min_width=get("min_width", defaults.min_width),
-        u_min=get("u_min", defaults.u_min),
-        u_max=get("u_max", defaults.u_max),
-    )
+        outer, name, default = KEYS[key]
+        try:
+            value = (parse_color(text) if isinstance(default, tuple)
+                     else type(default)(text))
+        except ValueError as e:
+            raise ValueError(f"config key {key!r}: {e}") from None
+        if outer is None:
+            top[name] = value
+        else:
+            nested.setdefault(outer, {})[name] = value
+    default = Scenario()
+    for outer, changes in nested.items():
+        top[outer] = replace(getattr(default, outer), **changes)
+    return replace(default, **top)

@@ -3,20 +3,19 @@
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
-from . import imaging, segmentation
+from . import imaging
 from .control import (ControllerState, LoopSpec, PlantModel, design_gains,
                       discretize, pi_step)
 from .imaging import Frame, Scene, Shape, render, widen
 from .plant import CameraIntrinsics, CameraPose, PlantState, error_px, plant_step
-from .region import RegionDescriptor, ScanParams, locate
-from .segmentation import (ChromaThreshold, PackedBinaryMask, RgbBoxThreshold,
-                           segment_chroma, segment_rgb, threshold_from_pick)
+from .region import ScanParams, locate
+from .segmentation import (ChromaThreshold, PackedBinaryMask, segment_chroma,
+                           segment_rgb, threshold_from_pick)
 
 DEFAULT_SAMPLE_TIME = 1.0 / 10.9  # controller runs once per acquired frame
 
@@ -80,8 +79,10 @@ class Scenario:
     def __post_init__(self):
         if self.kind not in SCENARIO_KINDS:
             raise ValueError(f"unknown scenario kind: {self.kind!r}")
-        if self.duration <= 0:
-            raise ValueError("duration must be > 0")
+        for name in ("duration", "sample_time"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0")
 
     @property
     def tracking(self) -> bool:
@@ -359,12 +360,7 @@ def run_multi_object(s: Scenario, objects: list[Shape]):
     frame = render(scene, pose, s.intrinsics)
     results = []
     for shape in objects:
-        pick = widen(imaging.narrow(*(int(s.illumination * c)
-                                      for c in shape.color)))
-        threshold = threshold_from_pick(pick, s.mode,
-                                        rgb_margin=s.rgb_margin,
-                                        chroma_margin=s.chroma_margin,
-                                        i_min=s.i_min)
+        threshold = replace(s, object_color=shape.color).picked_threshold()
         mask = s.segment(frame, threshold)
         reg = locate(mask, ScanParams(s.min_width))
         marker = Shape(shape.kind, shape.az, shape.el, shape.size,
@@ -376,52 +372,4 @@ def run_multi_object(s: Scenario, objects: list[Shape]):
             bbox = (int(covered[:, 0].min()), int(covered[:, 0].max()),
                     int(covered[:, 1].min()), int(covered[:, 1].max()))
         results.append((shape, reg, bbox))
-    return results
-
-
-def reference_mask(frame: Frame, threshold) -> PackedBinaryMask:
-    """Naive per-pixel segmentation used as the bench correctness check."""
-    bits = np.zeros((frame.height, frame.width), dtype=bool)
-    for y in range(frame.height):
-        for x in range(frame.width):
-            r, g, b = widen(int(frame.pixels[y, x]))
-            if isinstance(threshold, RgbBoxThreshold):
-                ok = (threshold.r_min <= r <= threshold.r_max
-                      and threshold.g_min <= g <= threshold.g_max
-                      and threshold.b_min <= b <= threshold.b_max)
-            else:
-                i = r + g + b
-                ok = (i >= threshold.i_min and i > 0
-                      and threshold.r_min <= r / i <= threshold.r_max
-                      and threshold.g_min <= g / i <= threshold.g_max)
-            bits[y, x] = ok
-    return PackedBinaryMask.from_bool(bits)
-
-
-def bench_segmentation(frame: Frame, rgb_t: RgbBoxThreshold,
-                       chroma_t: ChromaThreshold, iterations: int) -> dict:
-    """Wall-clock throughput of both segmenters over identical frames.
-
-    Reported, never asserted against any hardware figure. Each method is
-    checked once against the naive reference before timing.
-    """
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    results = {}
-    n_px = frame.width * frame.height
-    for name, fn, t in (("rgb", segment_rgb, rgb_t),
-                        ("chroma", segment_chroma, chroma_t)):
-        if not np.array_equal(fn(frame, t).words,
-                              reference_mask(frame, t).words):
-            raise RuntimeError(f"{name} segmentation disagrees with reference")
-        start = time.perf_counter()
-        for _ in range(iterations):
-            fn(frame, t)
-        elapsed = time.perf_counter() - start
-        px_per_s = n_px * iterations / elapsed if elapsed > 0 else math.inf
-        results[name] = {
-            "pixels_per_s": px_per_s,
-            "fps_qvga": px_per_s / (320 * 240),
-            "seconds": elapsed,
-        }
     return results

@@ -6,9 +6,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-DEFAULT_WIDTH = 320
-DEFAULT_HEIGHT = 240
-
 
 def decode(word: int) -> tuple[int, int, int]:
     """Split a 16-bit RGB565 word into its (r5, g6, b5) fields."""

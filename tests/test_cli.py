@@ -1,6 +1,6 @@
 import numpy as np
 
-from colortrack import imaging
+from colortrack import harness, imaging
 from colortrack.cli import main
 from colortrack.imaging import Frame, Scene, Shape, render
 from colortrack.plant import CameraIntrinsics, CameraPose
@@ -117,10 +117,27 @@ def test_render_matches_library(capsys, tmp_path):
     assert np.array_equal(back.pixels, expected.pixels)
 
 
-def test_bench_subcommand(capsys):
-    code, out, _ = run(capsys, "bench", "--iterations", "2")
+def test_clock_keeps_config_motion_center(capsys, tmp_path):
+    csv = tmp_path / "clock.csv"
+    code, _, _ = run(capsys, "clock", "--set", "motion_az=5",
+                     "--set", "duration=3.82", "--csv", str(csv))
     assert code == 0
-    assert "rgb:" in out and "chroma:" in out
+    rows = [r for r in harness.read_csv(csv).rows if r.found]
+    mean_cx = sum(r.cx for r in rows) / len(rows)
+    assert abs(mean_cx - (160 + 5 * 8)) <= 2.0  # 5 deg right at 8 px/deg
+
+
+def test_non_finite_duration_exit_code(capsys):
+    for value in ("inf", "nan"):
+        code, _, err = run(capsys, "track", "--set", f"duration={value}")
+        assert code == 1
+        assert err.startswith("error:")
+
+
+def test_bad_config_value_names_key(capsys):
+    code, _, err = run(capsys, "track", "--set", "min_width=abc")
+    assert code == 1
+    assert err.startswith("error: config key 'min_width': ")
 
 
 def test_bad_config_path_exit_code(capsys):

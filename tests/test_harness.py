@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from colortrack.harness import (ObjectMotion, Scenario, TrajectoryRecord,
                                 run_illumination_sweep, run_multi_object,
                                 run_scenario, settling_time)
 from colortrack.imaging import Shape
-from colortrack.plant import CameraPose
 
 
 def synthetic_record(ts, exs, eys=None):
@@ -43,6 +43,10 @@ def test_scenario_validation():
         Scenario(kind="flight")
     with pytest.raises(ValueError):
         Scenario(duration=0.0)
+    for name in ("duration", "sample_time"):
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match=name):
+                Scenario(**{name: bad})
 
 
 # -- settling time -----------------------------------------------------------
@@ -277,27 +281,6 @@ def test_report_file(tmp_path):
     assert "lost_frames:" in text
 
 
-# -- bench -------------------------------------------------------------------
-
-def test_bench_segmentation():
-    s = Scenario()
-    frame = harness.render(s.scene_at(0.0), CameraPose(), s.intrinsics)
-    small = harness.Frame(64, 48, frame.pixels[:48, :64].copy())
-    results = harness.bench_segmentation(small, s.picked_threshold("rgb"),
-                                         s.picked_threshold("chroma"), 3)
-    for method in ("rgb", "chroma"):
-        assert results[method]["pixels_per_s"] > 0
-        assert results[method]["fps_qvga"] > 0
-
-
-def test_bench_rejects_bad_iterations():
-    s = Scenario()
-    frame = harness.render(s.scene_at(0.0), CameraPose(), s.intrinsics)
-    with pytest.raises(ValueError):
-        harness.bench_segmentation(frame, s.picked_threshold("rgb"),
-                                   s.picked_threshold("chroma"), 0)
-
-
 # -- config ------------------------------------------------------------------
 
 def test_config_parse_and_build(tmp_path):
@@ -333,3 +316,90 @@ def test_config_rejects_bad_line(tmp_path):
     p.write_text("this is not a setting\n")
     with pytest.raises(ValueError, match="key = value"):
         cfgmod.parse_config(p)
+
+
+# The 32 keys accepted before the key table was derived from Scenario.
+CONFIG_KEYS = [
+    "kind", "duration", "sample_time", "seed", "width", "height", "ppd_x",
+    "ppd_y", "pan_k", "pan_tau", "tilt_k", "tilt_tau", "ts", "po", "motion",
+    "motion_az", "motion_el", "motion_radius", "motion_period",
+    "motion_phase", "object_kind", "object_size", "illumination", "mode",
+    "rgb_margin", "chroma_margin", "i_min", "min_width", "u_min", "u_max",
+    "background", "object_color",
+]
+
+# key -> (text, path of the Scenario field it sets, parsed value)
+CONFIG_CASES = {
+    "kind": ("clock_motion", ("kind",), "clock_motion"),
+    "duration": ("2", ("duration",), 2.0),
+    "sample_time": ("0.05", ("sample_time",), 0.05),
+    "seed": ("7", ("seed",), 7),
+    "width": ("64", ("intrinsics", "width"), 64),
+    "height": ("48", ("intrinsics", "height"), 48),
+    "ppd_x": ("6.5", ("intrinsics", "ppd_x"), 6.5),
+    "ppd_y": ("7", ("intrinsics", "ppd_y"), 7.0),
+    "pan_k": ("2", ("pan_model", "k"), 2.0),
+    "pan_tau": ("0.3", ("pan_model", "tau"), 0.3),
+    "tilt_k": ("1.5", ("tilt_model", "k"), 1.5),
+    "tilt_tau": ("0.25", ("tilt_model", "tau"), 0.25),
+    "ts": ("1.2", ("spec", "ts"), 1.2),
+    "po": ("8", ("spec", "po"), 8.0),
+    "motion": ("circular", ("motion", "kind"), "circular"),
+    "motion_az": ("5", ("motion", "az"), 5.0),
+    "motion_el": ("-3", ("motion", "el"), -3.0),
+    "motion_radius": ("2.5", ("motion", "radius"), 2.5),
+    "motion_period": ("3.82", ("motion", "period"), 3.82),
+    "motion_phase": ("90", ("motion", "phase"), 90.0),
+    "object_kind": ("triangle", ("object_kind",), "triangle"),
+    "object_size": ("6", ("object_size",), 6.0),
+    "illumination": ("0.5", ("illumination",), 0.5),
+    "mode": ("rgb", ("mode",), "rgb"),
+    "rgb_margin": ("10", ("rgb_margin",), 10),
+    "chroma_margin": ("0.1", ("chroma_margin",), 0.1),
+    "i_min": ("12", ("i_min",), 12),
+    "min_width": ("2", ("min_width",), 2),
+    "u_min": ("-30", ("u_min",), -30.0),
+    "u_max": ("30", ("u_max",), 30.0),
+    "background": ("1, 2,3", ("background",), (1, 2, 3)),
+    "object_color": ("200,50,50", ("object_color",), (200, 50, 50)),
+}
+
+
+def flat_fields(obj, prefix=()):
+    """Every leaf field of a (nested) dataclass, keyed by its path."""
+    out = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            out.update(flat_fields(value, prefix + (f.name,)))
+        else:
+            out[prefix + (f.name,)] = value
+    return out
+
+
+def test_config_empty_is_default_scenario():
+    assert cfgmod.scenario_from_config({}) == Scenario()
+
+
+def test_config_keys_are_the_scenario_fields():
+    assert sorted(cfgmod.KEYS) == sorted(CONFIG_KEYS)
+    assert sorted(CONFIG_CASES) == sorted(CONFIG_KEYS)
+
+
+@pytest.mark.parametrize("key", CONFIG_KEYS)
+def test_config_key_sets_exactly_its_field(key):
+    text, path, expected = CONFIG_CASES[key]
+    before = flat_fields(Scenario())
+    after = flat_fields(cfgmod.scenario_from_config({key: text}))
+    assert before[path] != expected
+    assert after[path] == expected
+    assert type(after[path]) is type(expected)
+    assert [p for p in after if after[p] != before[p]] == [path]
+
+
+@pytest.mark.parametrize("key, text", [("min_width", "abc"),
+                                       ("duration", "fast"),
+                                       ("background", "1,2")])
+def test_config_value_error_names_the_key(key, text):
+    with pytest.raises(ValueError, match=f"^config key '{key}': "):
+        cfgmod.scenario_from_config({key: text})
