@@ -76,5 +76,9 @@ def scenario_from_config(values: dict) -> Scenario:
             nested.setdefault(outer, {})[name] = value
     default = Scenario()
     for outer, changes in nested.items():
-        top[outer] = replace(getattr(default, outer), **changes)
+        try:
+            top[outer] = replace(getattr(default, outer), **changes)
+        except ValueError as e:
+            keys = ", ".join(repr(k) for k in values if KEYS[k][0] == outer)
+            raise ValueError(f"config key {keys}: {e}") from None
     return replace(default, **top)

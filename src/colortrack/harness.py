@@ -19,8 +19,7 @@ from .segmentation import (ChromaThreshold, PackedBinaryMask, segment_chroma,
 
 DEFAULT_SAMPLE_TIME = 1.0 / 10.9  # controller runs once per acquired frame
 
-SCENARIO_KINDS = ("step_track", "clock_motion", "illumination_sweep",
-                  "multi_object", "segment_only")
+SCENARIO_KINDS = ("step_track", "clock_motion")
 
 
 @dataclass(frozen=True)
@@ -83,6 +82,13 @@ class Scenario:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0")
+        if self.n_frames < 1:
+            raise ValueError("duration must round to at least one frame "
+                             "of sample_time")
+
+    @property
+    def n_frames(self) -> int:
+        return int(round(self.duration / self.sample_time))
 
     @property
     def tracking(self) -> bool:
@@ -188,8 +194,7 @@ def run_scenario(s: Scenario) -> tuple[TrajectoryRecord, TrackingMetrics]:
     ux = uy = 0.0
 
     rec = TrajectoryRecord()
-    n_frames = int(round(s.duration / s.sample_time))
-    for k in range(n_frames):
+    for k in range(s.n_frames):
         t = k * s.sample_time
         pose = CameraPose(pan.angle, tilt.angle)
         frame = render(s.scene_at(t), pose, intr)

@@ -1,14 +1,15 @@
 """Region description: initial-run scan plus counter-clockwise contour walk.
 
 The scan and the fill read the mask through one run encoding: horizontal
-runs (row, x0, x1) of set pixels. The initial scan takes the first run wide
-enough; the optional pixel count and centroid come from merging the
-8-connected runs of the traced component (run-based labelling, He, Chao &
-Suzuki, IEEE TIP 17(5), 2008), so their cost grows with the number of runs
-rather than pixels. The limits and the contour length come from the
-Moore-neighborhood walk, which `locate` starts on the top row of the first
-qualifying run's component, where the start's east neighbour is outer
-background.
+runs (row, x0, x1) of set pixels, as in CMVision's run-based region
+extraction (Bruce, Balch & Veloso, IROS 2000). The initial scan takes the
+first run wide enough; the optional pixel count and centroid come from
+merging the 8-connected runs of the traced component (run-based labelling,
+He, Chao & Suzuki, IEEE TIP 17(5), 2008), so their cost grows with the
+number of runs rather than pixels. The limits and the contour length come
+from the Moore-neighborhood walk over a zero-bordered byte copy of the
+mask, which `locate` starts on the top row of the first qualifying run's
+component, where the start's east neighbour is outer background.
 """
 
 from __future__ import annotations
@@ -68,25 +69,15 @@ def find_initial_run(mask: PackedBinaryMask,
                      params: ScanParams) -> Optional[tuple[int, int, int]]:
     """First horizontal run of set pixels with length >= min_width.
 
-    Scans from the top-left corner, rightward then downward. Returns
-    (row, left_x, right_x) or None.
+    Scans from the top-left corner, rightward then downward, through the run
+    encoding of the whole mask. Returns (row, left_x, right_x) or None.
     """
-    bits = mask.to_bool()
-    # A row with fewer set pixels than min_width cannot hold a wide enough
-    # run. The rest are encoded in blocks that double in size, so a hit near
-    # the top costs a few rows, not the whole occupied band.
-    rows = np.flatnonzero(np.count_nonzero(bits, axis=1) >= params.min_width)
-    i, k = 0, 1
-    while i < rows.size:
-        block = rows[i:i + k]
-        ys, x0, x1 = _runs(bits[block])
-        hit = np.flatnonzero(x1 - x0 + 1 >= params.min_width)
-        if hit.size:
-            j = hit[0]
-            return int(block[ys[j]]), int(x0[j]), int(x1[j])
-        i += k
-        k *= 2
-    return None
+    ys, x0, x1 = _runs(mask.to_bool())
+    hit = np.flatnonzero(x1 - x0 + 1 >= params.min_width)
+    if not hit.size:
+        return None
+    j = hit[0]
+    return int(ys[j]), int(x0[j]), int(x1[j])
 
 
 def _runs(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -104,78 +95,66 @@ def _runs(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def trace_contour(mask: PackedBinaryMask, start: tuple[int, int], *,
-                  stop_rule: str = "jacob",
                   fill_count: bool = False) -> RegionDescriptor:
     """Counter-clockwise Moore-neighborhood boundary walk from a set pixel.
 
     The start should be the right end of a horizontal run, as
-    `find_initial_run` returns it. stop_rule "jacob" stops when the start
-    pixel is re-entered from the same direction as the first departure;
-    this survives one-pixel-wide spurs, where the naive "start" rule (stop
-    on any return to the start pixel) can cut the walk short.
-    Out-of-bounds neighbors are treated as unset.
+    `find_initial_run` returns it. The walk stops when the start pixel is
+    re-entered from the same direction as the first departure (Jacob's
+    stopping criterion); this survives one-pixel-wide spurs, where stopping
+    on any return to the start can cut the walk short. It runs over a copy
+    of the mask with a border of unset pixels, so a pixel is its flat index
+    in that copy and no neighbour needs a bounds check.
 
     With fill_count, pixel_count and the centroid are those of the start
     pixel's whole 8-connected component, taken from the run encoding of the
     whole mask, so they do not depend on where the walk stopped.
     """
-    if stop_rule not in ("jacob", "start"):
-        raise ValueError(f"unknown stop rule: {stop_rule!r}")
     bits = mask.to_bool()
+    h, w = bits.shape
     sx, sy = start
-    if not bits[sy, sx]:
+    if not (0 <= sx < w and 0 <= sy < h and bits[sy, sx]):
         raise ValueError(f"contour start ({sx}, {sy}) is not a set pixel")
 
-    h, w = bits.shape
-
-    def is_set(x, y):
-        return 0 <= x < w and 0 <= y < h and bits[y, x]
-
-    left = right = sx
-    top = bottom = sy
-    length = 1
+    stride = w + 2
+    grid = np.zeros((h + 2, stride), dtype=np.uint8)
+    grid[1:-1, 1:-1] = bits
+    cells = grid.tobytes()
+    # Offsets of the eight neighbours, listed twice so the sweep below can
+    # run past direction 7 without a modulo.
+    ring = [dx + dy * stride for dx, dy in zip(_DX, _DY)] * 2
+    first = cur = (sy + 1) * stride + sx + 1
+    path = [cur]
     # The start pixel is the rightmost of a horizontal run, so its eastern
     # neighbor is unset; the walk backtracks from there.
-    cx, cy = sx, sy
     back = 0  # direction index from current pixel toward the backtrack cell
     first_move = None
     cap = 4 * w * h
-    steps = 0
     while True:
         # CCW sweep of the 3x3 neighborhood, starting just past the backtrack
         # cell; the first set pixel found is the next contour pixel.
-        move = None
-        d = (back + 1) % 8
-        for _ in range(8):
-            if is_set(cx + _DX[d], cy + _DY[d]):
-                move = d
+        for d in range(back + 1, back + 9):
+            if cells[cur + ring[d]]:
                 break
-            d = (d + 1) % 8
-        if move is None:
+        else:
             break  # isolated pixel, one-pixel region
-        if (cx, cy) == (sx, sy):
+        move = d % 8
+        if cur == first:
             if first_move is None:
                 first_move = move
             elif move == first_move:
                 break  # the walk state has cycled back to its initial state
-        cx += _DX[move]
-        cy += _DY[move]
+        cur += ring[move]
+        path.append(cur)
         # The cell examined just before the move (direction move-1 from the
         # old pixel) is unset; seen from the new pixel it lies at:
         back = (2 * (move // 2) + 6) % 8
-        left = min(left, cx)
-        right = max(right, cx)
-        top = min(top, cy)
-        bottom = max(bottom, cy)
-        if (cx, cy) == (sx, sy):
-            if stop_rule == "start":
-                break
-        else:
-            length += 1
-        steps += 1
-        if steps > cap:
+        if len(path) > cap + 1:
             raise RuntimeError("contour walk exceeded the step cap")
 
+    ys, xs = np.divmod(np.array(path), stride)
+    top, bottom = int(ys.min()) - 1, int(ys.max()) - 1
+    left, right = int(xs.min()) - 1, int(xs.max()) - 1
     pixel_count = None
     centroid = (None, None)
     if fill_count:
@@ -183,8 +162,9 @@ def trace_contour(mask: PackedBinaryMask, start: tuple[int, int], *,
     return RegionDescriptor(
         top=top, bottom=bottom, left=left, right=right,
         center_x=int((left + right) / 2), center_y=int((top + bottom) / 2),
-        contour_length=length, pixel_count=pixel_count,
-        centroid_x=centroid[0], centroid_y=centroid[1])
+        contour_length=len(path) - path.count(first) + 1,
+        pixel_count=pixel_count, centroid_x=centroid[0],
+        centroid_y=centroid[1])
 
 
 def _component_runs(runs, sx: int, sy: int):
@@ -238,7 +218,6 @@ def _component_stats(runs, sx: int, sy: int):
 
 
 def locate(mask: PackedBinaryMask, params: ScanParams = ScanParams(), *,
-           stop_rule: str = "jacob",
            fill_count: bool = False) -> Optional[RegionDescriptor]:
     """Scan for the first qualifying run and trace its component's contour.
 
@@ -259,5 +238,4 @@ def locate(mask: PackedBinaryMask, params: ScanParams = ScanParams(), *,
             top, right_x = y, x1
         if top == first_row:
             break  # no set pixel lies above the mask's first row
-    return trace_contour(mask, (right_x, top), stop_rule=stop_rule,
-                         fill_count=fill_count)
+    return trace_contour(mask, (right_x, top), fill_count=fill_count)

@@ -103,7 +103,7 @@ def test_criterion_3_chromaticity_invariance():
         if chromaticity(r * s, g * s, b * s) != chromaticity(r, g, b):
             ok = False
             break
-    sweep = run_illumination_sweep(Scenario(kind="illumination_sweep"),
+    sweep = run_illumination_sweep(Scenario(),
                                    (1.0, 0.8, 0.6, 0.4))
     chroma_ok = all(f >= 0.95 for f in sweep.retention("chroma"))
     rgb_ok = sweep.retention("rgb")[-1] < 0.5

@@ -140,6 +140,15 @@ def test_bad_config_value_names_key(capsys):
     assert err.startswith("error: config key 'min_width': ")
 
 
+def test_scenario_without_frames_exit_code(capsys, tmp_path):
+    csv = tmp_path / "t.csv"
+    code, _, err = run(capsys, "track", "--set", "sample_time=10",
+                       "--set", "duration=1", "--csv", str(csv))
+    assert code == 1
+    assert err.startswith("error: duration ")
+    assert not csv.exists()
+
+
 def test_bad_config_path_exit_code(capsys):
     code, _, err = run(capsys, "track", "--config", "/nonexistent.cfg")
     assert code == 1

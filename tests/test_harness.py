@@ -47,6 +47,10 @@ def test_scenario_validation():
         for bad in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValueError, match=name):
                 Scenario(**{name: bad})
+    # a scenario that would run no frame
+    with pytest.raises(ValueError, match="duration"):
+        Scenario(sample_time=10.0, duration=1.0)
+    assert Scenario(sample_time=10.0, duration=6.0).n_frames == 1
 
 
 # -- settling time -----------------------------------------------------------
@@ -210,7 +214,7 @@ def test_infeasible_spec_propagates():
 
 
 def test_illumination_sweep_retention():
-    result = run_illumination_sweep(Scenario(kind="illumination_sweep"))
+    result = run_illumination_sweep(Scenario())
     chroma = result.retention("chroma")
     rgb = result.retention("rgb")
     assert all(f >= 0.95 for f in chroma)
@@ -222,7 +226,7 @@ def test_multi_object_detection():
                Shape("disk", 10.0, -7.0, 2.5, (230, 210, 40)),
                Shape("disk", -10.0, 7.0, 6.0, (230, 120, 30)),
                Shape("rectangle", 10.0, 7.0, 4.0, (235, 220, 150))]
-    results = run_multi_object(Scenario(kind="multi_object"), objects)
+    results = run_multi_object(Scenario(), objects)
     assert len(results) == 4
     for shape, reg, bbox in results:
         assert reg is not None and bbox is not None
@@ -399,7 +403,10 @@ def test_config_key_sets_exactly_its_field(key):
 
 @pytest.mark.parametrize("key, text", [("min_width", "abc"),
                                        ("duration", "fast"),
-                                       ("background", "1,2")])
+                                       ("background", "1,2"),
+                                       ("pan_k", "-1"),
+                                       ("width", "0"),
+                                       ("po", "150")])
 def test_config_value_error_names_the_key(key, text):
     with pytest.raises(ValueError, match=f"^config key '{key}': "):
         cfgmod.scenario_from_config({key: text})

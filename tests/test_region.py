@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from colortrack.harness import Scenario
 from colortrack.imaging import render
 from colortrack.plant import CameraPose
+from colortrack import region
 from colortrack.region import (RegionDescriptor, ScanParams, _component_stats,
                                _runs, find_initial_run, locate, trace_contour)
 from colortrack.segmentation import PackedBinaryMask
@@ -62,11 +63,63 @@ def run_end(bits, x, y):
     return x
 
 
-def assert_fill_matches_oracle(bits, start, stop_rule):
+def assert_fill_matches_oracle(bits, start):
     _, n, centroid = flood_oracle(bits, start)
-    reg = trace_contour(mask_from(bits), start, stop_rule=stop_rule,
-                        fill_count=True)
+    reg = trace_contour(mask_from(bits), start, fill_count=True)
     assert (reg.pixel_count, reg.centroid_x, reg.centroid_y) == (n, *centroid)
+
+
+_DX = (1, 1, 0, -1, -1, -1, 0, 1)  # E, NE, N, NW, W, SW, S, SE
+_DY = (0, -1, -1, -1, 0, 1, 1, 1)
+
+
+def reference_walk(bits, start):
+    """Counter-clockwise Moore walk on the numpy array, the walk's oracle.
+
+    Every neighbour test is bounds-checked and the limits are updated on
+    every step. Stops by Jacob's criterion: the start is left again in the
+    direction of the first departure.
+    """
+    h, w = bits.shape
+
+    def is_set(x, y):
+        return 0 <= x < w and 0 <= y < h and bits[y, x]
+
+    sx, sy = start
+    assert is_set(sx, sy)
+    left = right = cx = sx
+    top = bottom = cy = sy
+    length = 1
+    back = 0
+    first_move = None
+    while True:
+        move = next((d % 8 for d in range(back + 1, back + 9)
+                     if is_set(cx + _DX[d % 8], cy + _DY[d % 8])), None)
+        if move is None:
+            break
+        if (cx, cy) == (sx, sy):
+            if first_move is None:
+                first_move = move
+            elif move == first_move:
+                break
+        cx += _DX[move]
+        cy += _DY[move]
+        back = (2 * (move // 2) + 6) % 8
+        left, right = min(left, cx), max(right, cx)
+        top, bottom = min(top, cy), max(bottom, cy)
+        if (cx, cy) != (sx, sy):
+            length += 1
+    return RegionDescriptor(
+        top=top, bottom=bottom, left=left, right=right,
+        center_x=int((left + right) / 2), center_y=int((top + bottom) / 2),
+        contour_length=length)
+
+
+def run_ends(bits):
+    """The right end (x, y) of every horizontal run of set pixels."""
+    return [(x, y) for y in range(bits.shape[0])
+            for x in np.flatnonzero(bits[y]).tolist()
+            if x + 1 == bits.shape[1] or not bits[y, x + 1]]
 
 
 def test_scan_params_validation():
@@ -113,6 +166,10 @@ def test_trace_single_pixel():
 def test_trace_requires_set_start():
     with pytest.raises(ValueError, match="not a set pixel"):
         trace_contour(PackedBinaryMask.zeros(4, 4), (1, 1))
+    full = mask_from(np.ones((4, 4), dtype=bool))
+    for outside in ((-1, 0), (0, -1), (4, 0), (0, 4)):
+        with pytest.raises(ValueError, match="not a set pixel"):
+            trace_contour(full, outside)
 
 
 def test_trace_one_pixel_spur():
@@ -124,16 +181,6 @@ def test_trace_one_pixel_spur():
     bits[3, 3] = True
     reg = trace_contour(mask_from(bits), (3, 2))
     assert (reg.top, reg.bottom, reg.left, reg.right) == (2, 6, 2, 4)
-
-
-def test_trace_stop_rule_flag():
-    bits = np.zeros((20, 20), dtype=bool)
-    bits[10:13, 10:13] = True
-    a = trace_contour(mask_from(bits), (12, 10), stop_rule="start")
-    b = trace_contour(mask_from(bits), (12, 10), stop_rule="jacob")
-    assert (a.top, a.bottom, a.left, a.right) == (b.top, b.bottom, b.left, b.right)
-    with pytest.raises(ValueError, match="stop rule"):
-        trace_contour(mask_from(bits), (12, 10), stop_rule="maybe")
 
 
 def test_fill_count_and_centroid():
@@ -210,8 +257,20 @@ def test_exhaustive_small_masks(shape):
                 starts.add((run[2], run[0]))
             assert_locate_limits_match_oracle(bits, min_width)
         for start in starts:
-            for stop_rule in ("jacob", "start"):
-                assert_fill_matches_oracle(bits, start, stop_rule)
+            assert_fill_matches_oracle(bits, start)
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (4, 3)])
+def test_trace_matches_reference_walk_exhaustive(shape):
+    # every field, contour_length included, from every run end of every mask
+    h, w = shape
+    place = np.arange(h * w).reshape(shape)
+    for code in range(1 << (h * w)):
+        bits = (code >> place) & 1 == 1
+        mask = mask_from(bits)
+        for start in run_ends(bits):
+            assert trace_contour(mask, start) == reference_walk(bits, start), \
+                (code, start)
 
 
 @pytest.mark.parametrize("rows, min_width, run, limits, count", [
@@ -256,9 +315,9 @@ def test_runs_round_trip_property(bits):
     assert np.all(x0[1:][same_row] > x1[:-1][same_row] + 1)
 
 
-@given(random_masks, st.integers(0, 2**32 - 1), st.sampled_from(["jacob", "start"]))
+@given(random_masks, st.integers(0, 2**32 - 1))
 @settings(max_examples=100, deadline=None)
-def test_fill_from_any_pixel_property(bits, pick, stop_rule):
+def test_fill_from_any_pixel_property(bits, pick):
     ys, xs = np.nonzero(bits)
     if ys.size == 0:
         return
@@ -266,8 +325,18 @@ def test_fill_from_any_pixel_property(bits, pick, stop_rule):
     _, n, centroid = flood_oracle(bits, (x, y))
     assert _component_stats(_runs(bits), x, y) == (n, centroid)
     # from the right end of that pixel's run, as the walk needs, the stats
-    # hold under both stop rules: the fill must not stop where the walk does
-    assert_fill_matches_oracle(bits, (run_end(bits, x, y), y), stop_rule)
+    # hold wherever the walk stops
+    assert_fill_matches_oracle(bits, (run_end(bits, x, y), y))
+
+
+@given(random_masks, st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_trace_matches_reference_walk_property(bits, pick):
+    ends = run_ends(bits)
+    if not ends:
+        return
+    start = ends[pick % len(ends)]
+    assert trace_contour(mask_from(bits), start) == reference_walk(bits, start)
 
 
 @given(random_masks, st.integers(1, 4))
@@ -329,6 +398,28 @@ def test_locate_reports_first_blob_only():
     bits[10:15, 10:15] = True
     reg = locate(mask_from(bits), ScanParams(3))
     assert (reg.top, reg.left) == (2, 2) and (reg.bottom, reg.right) == (4, 4)
+
+
+def test_locate_calls_scan_and_walk_through_region_names(monkeypatch):
+    # the benchmark traces the scan and the walk by patching these names in
+    # region, so locate must call each once per region it finds
+    calls = {"find_initial_run": [], "trace_contour": []}
+    for name in calls:
+        def counting(*args, name=name, fn=getattr(region, name), **kwargs):
+            calls[name].append(kwargs)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(region, name, counting)
+    blob = np.zeros((16, 16), dtype=bool)
+    blob[4:9, 3:10] = True
+    narrow = np.zeros((16, 16), dtype=bool)
+    narrow[5, 5:7] = True
+    found = [locate(mask_from(bits), ScanParams(3), fill_count=fill)
+             for bits in (blob, narrow, blob) for fill in (False, True)]
+    assert [reg is not None for reg in found] == [True, True, False, False,
+                                                  True, True]
+    assert len(calls["find_initial_run"]) == 6
+    assert calls["trace_contour"] == [{"fill_count": False},
+                                      {"fill_count": True}] * 2
 
 
 def test_locate_empty_mask():
