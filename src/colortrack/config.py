@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import fields, replace
 
-from .harness import Scenario
+from .harness import Scenario, check_field
 
 # Key prefix of each nested dataclass field; ObjectMotion.kind is `motion`.
 _PREFIXES = {"intrinsics": "", "pan_model": "pan_", "tilt_model": "tilt_",
@@ -55,7 +55,10 @@ def parse_color(text: str) -> tuple[int, int, int]:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 3:
         raise ValueError(f"expected 'r,g,b', got {text!r}")
-    return tuple(int(p) for p in parts)
+    rgb = tuple(int(p) for p in parts)
+    if not all(0 <= c <= 255 for c in rgb):
+        raise ValueError(f"color channels must be in 0..255, got {text!r}")
+    return rgb
 
 
 def scenario_from_config(values: dict) -> Scenario:
@@ -68,6 +71,8 @@ def scenario_from_config(values: dict) -> Scenario:
         try:
             value = (parse_color(text) if isinstance(default, tuple)
                      else type(default)(text))
+            if outer is None:
+                check_field(name, value)
         except ValueError as e:
             raise ValueError(f"config key {key!r}: {e}") from None
         if outer is None:

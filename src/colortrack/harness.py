@@ -21,6 +21,23 @@ DEFAULT_SAMPLE_TIME = 1.0 / 10.9  # controller runs once per acquired frame
 
 SCENARIO_KINDS = ("step_track", "clock_motion")
 
+# Scenario fields with a rule of their own: (test, what the value must be).
+_FIELD_RULES = {
+    "duration": (lambda v: math.isfinite(v) and v > 0, "finite and > 0"),
+    "sample_time": (lambda v: math.isfinite(v) and v > 0, "finite and > 0"),
+    "illumination": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+    "rgb_margin": (lambda v: v >= 0, ">= 0"),
+    "chroma_margin": (lambda v: v >= 0, ">= 0"),
+}
+
+
+def check_field(name: str, value) -> None:
+    """Raise a ValueError naming the Scenario field if value breaks its rule."""
+    if name in _FIELD_RULES:
+        ok, must = _FIELD_RULES[name]
+        if not ok(value):
+            raise ValueError(f"{name} must be {must}")
+
 
 @dataclass(frozen=True)
 class ObjectMotion:
@@ -78,10 +95,8 @@ class Scenario:
     def __post_init__(self):
         if self.kind not in SCENARIO_KINDS:
             raise ValueError(f"unknown scenario kind: {self.kind!r}")
-        for name in ("duration", "sample_time"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0")
+        for name in _FIELD_RULES:
+            check_field(name, getattr(self, name))
         if self.n_frames < 1:
             raise ValueError("duration must round to at least one frame "
                              "of sample_time")

@@ -206,6 +206,8 @@ def write_rgb565(frame: Frame, path) -> None:
 
 def read_rgb565(path, width: int, height: int) -> Frame:
     """Read a raw RGB565 dump; dimensions are supplied out-of-band."""
+    if width <= 0 or height <= 0:
+        raise ValueError(f"bad raw dimensions {width}x{height}")
     with open(path, "rb") as f:
         data = f.read()
     if len(data) != width * height * 2:

@@ -1,15 +1,16 @@
 """Region description: initial-run scan plus counter-clockwise contour walk.
 
-The scan and the fill read the mask through one run encoding: horizontal
+The scan and the walk each read the mask through a run encoding: horizontal
 runs (row, x0, x1) of set pixels, as in CMVision's run-based region
 extraction (Bruce, Balch & Veloso, IROS 2000). The initial scan takes the
-first run wide enough; the optional pixel count and centroid come from
-merging the 8-connected runs of the traced component (run-based labelling,
-He, Chao & Suzuki, IEEE TIP 17(5), 2008), so their cost grows with the
-number of runs rather than pixels. The limits and the contour length come
-from the Moore-neighborhood walk over a zero-bordered byte copy of the
-mask, which `locate` starts on the top row of the first qualifying run's
-component, where the start's east neighbour is outer background.
+first run wide enough. The walk collects the 8-connected runs of its start
+pixel's component once (run-based labelling, He, Chao & Suzuki, IEEE TIP
+17(5), 2008) and starts at the right end of the component's first run in
+raster order, the leftmost run on its top row, whose east neighbour is
+outer background. The limits and the contour length come from the
+Moore-neighborhood walk over a zero-bordered byte copy of the mask; the
+optional pixel count and centroid are summed over the same runs, so their
+cost grows with the number of runs rather than pixels.
 """
 
 from __future__ import annotations
@@ -96,25 +97,34 @@ def _runs(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def trace_contour(mask: PackedBinaryMask, start: tuple[int, int], *,
                   fill_count: bool = False) -> RegionDescriptor:
-    """Counter-clockwise Moore-neighborhood boundary walk from a set pixel.
+    """Counter-clockwise Moore-neighborhood walk round the component of a
+    set pixel.
 
-    The start should be the right end of a horizontal run, as
-    `find_initial_run` returns it. The walk stops when the start pixel is
-    re-entered from the same direction as the first departure (Jacob's
-    stopping criterion); this survives one-pixel-wide spurs, where stopping
-    on any return to the start can cut the walk short. It runs over a copy
-    of the mask with a border of unset pixels, so a pixel is its flat index
-    in that copy and no neighbour needs a bounds check.
+    The start may be any set pixel. One pass over the run encoding collects
+    the runs of its 8-connected component, and the walk starts at the right
+    end of the first of them in raster order: the leftmost run on the
+    component's top row. The east neighbour of that pixel is outer
+    background, so the walk traces the outer boundary and never a hole, and
+    the result depends only on the component. The walk stops when the start
+    pixel is re-entered from the same direction as the first departure
+    (Jacob's stopping criterion); this survives one-pixel-wide spurs, where
+    stopping on any return to the start can cut the walk short. It runs
+    over a copy of the mask with a border of unset pixels, so a pixel is its
+    flat index in that copy and no neighbour needs a bounds check.
 
-    With fill_count, pixel_count and the centroid are those of the start
-    pixel's whole 8-connected component, taken from the run encoding of the
-    whole mask, so they do not depend on where the walk stopped.
+    With fill_count, pixel_count and the centroid are summed over the same
+    component's runs.
     """
     bits = mask.to_bool()
     h, w = bits.shape
     sx, sy = start
     if not (0 <= sx < w and 0 <= sy < h and bits[sy, sx]):
         raise ValueError(f"contour start ({sx}, {sy}) is not a set pixel")
+    runs = _runs(bits)
+    comp = np.fromiter(_component_runs(runs, sx, sy), dtype=np.intp)
+    rows, x0s, x1s = (a[comp] for a in runs)
+    top_left = comp.argmin()  # runs are sorted by row, then by x0
+    sx, sy = int(x1s[top_left]), int(rows[top_left])
 
     stride = w + 2
     grid = np.zeros((h + 2, stride), dtype=np.uint8)
@@ -125,8 +135,8 @@ def trace_contour(mask: PackedBinaryMask, start: tuple[int, int], *,
     ring = [dx + dy * stride for dx, dy in zip(_DX, _DY)] * 2
     first = cur = (sy + 1) * stride + sx + 1
     path = [cur]
-    # The start pixel is the rightmost of a horizontal run, so its eastern
-    # neighbor is unset; the walk backtracks from there.
+    # The start's eastern neighbour is outer background; the walk
+    # backtracks from there.
     back = 0  # direction index from current pixel toward the backtrack cell
     first_move = None
     cap = 4 * w * h
@@ -158,7 +168,11 @@ def trace_contour(mask: PackedBinaryMask, start: tuple[int, int], *,
     pixel_count = None
     centroid = (None, None)
     if fill_count:
-        pixel_count, centroid = _component_stats(_runs(bits), sx, sy)
+        # Exact integer sums, divided once; (x0 + x1) * size is always even.
+        size = x1s - x0s + 1
+        pixel_count = int(size.sum())
+        centroid = (int(((x0s + x1s) * size).sum()) // 2 / pixel_count,
+                    int((rows * size).sum()) / pixel_count)
     return RegionDescriptor(
         top=top, bottom=bottom, left=left, right=right,
         center_x=int((left + right) / 2), center_y=int((top + bottom) / 2),
@@ -167,13 +181,11 @@ def trace_contour(mask: PackedBinaryMask, start: tuple[int, int], *,
         centroid_y=centroid[1])
 
 
-def _component_runs(runs, sx: int, sy: int):
-    """Yield the runs (row, x0, x1) of the 8-connected component holding set
-    pixel (sx, sy), from the runs of the whole mask.
+def _component_runs(runs, sx: int, sy: int) -> set[int]:
+    """Indices into `runs`, the runs of the whole mask, of the 8-connected
+    component holding set pixel (sx, sy).
 
     Runs in adjacent rows touch when x0_a <= x1_b + 1 and x0_b <= x1_a + 1.
-    The walk is depth-first and visits the row above before the row below,
-    so a caller looking for the component's top row reaches it early.
     """
     rows, x0s, x1s = (a.tolist() for a in runs)
     last = rows[-1]
@@ -183,14 +195,12 @@ def _component_runs(runs, sx: int, sy: int):
         # first run of row y whose x1 >= x, by bisection over that row
         return bisect_left(x1s, x, starts[y], starts[y + 1])
 
-    i = first_touching(sy, sx)
-    seen = {i}
-    stack = [i]
+    stack = [first_touching(sy, sx)]
+    seen = set(stack)
     while stack:
         i = stack.pop()
         y, a, b = rows[i], x0s[i], x1s[i]
-        yield y, a, b
-        for ny in (y + 1, y - 1):  # the last pushed is popped first
+        for ny in (y - 1, y + 1):
             if not 0 <= ny <= last:
                 continue
             j = first_touching(ny, a - 1)
@@ -200,42 +210,14 @@ def _component_runs(runs, sx: int, sy: int):
                     seen.add(j)
                     stack.append(j)
                 j += 1
-
-
-def _component_stats(runs, sx: int, sy: int):
-    """Pixel count and mean-position centroid of the 8-connected component
-    holding set pixel (sx, sy), from the runs of the whole mask.
-
-    Sums are exact integers, divided once at the end.
-    """
-    n = sum_x = sum_y = 0
-    for y, a, b in _component_runs(runs, sx, sy):
-        size = b - a + 1
-        n += size
-        sum_x += (a + b) * size // 2
-        sum_y += y * size
-    return n, (sum_x / n, sum_y / n)
+    return seen
 
 
 def locate(mask: PackedBinaryMask, params: ScanParams = ScanParams(), *,
            fill_count: bool = False) -> Optional[RegionDescriptor]:
-    """Scan for the first qualifying run and trace its component's contour.
-
-    The walk starts at the right end of the topmost run of that run's
-    8-connected component. The first qualifying run itself may lie below
-    narrower runs of its component, and then its east neighbour can be a
-    hole pixel, whose boundary the walk would trace instead of the outer one.
-    """
+    """Scan for the first qualifying run and trace its component's contour."""
     run = find_initial_run(mask, params)
     if run is None:
         return None
     row, _, right_x = run
-    runs = _runs(mask.to_bool())
-    first_row = int(runs[0][0])
-    top = row
-    for y, _, x1 in _component_runs(runs, right_x, row):
-        if y < top:
-            top, right_x = y, x1
-        if top == first_row:
-            break  # no set pixel lies above the mask's first row
-    return trace_contour(mask, (right_x, top), fill_count=fill_count)
+    return trace_contour(mask, (right_x, row), fill_count=fill_count)

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from colortrack import harness, imaging
 from colortrack.cli import main
@@ -147,6 +148,38 @@ def test_scenario_without_frames_exit_code(capsys, tmp_path):
     assert code == 1
     assert err.startswith("error: duration ")
     assert not csv.exists()
+
+
+@pytest.mark.parametrize("item", ["illumination=-1", "rgb_margin=-5",
+                                  "chroma_margin=-0.1", "background=300,0,0"])
+def test_out_of_range_config_value_exit_code(capsys, item):
+    key = item.partition("=")[0]
+    code, _, err = run(capsys, "track", "--set", item)
+    assert code == 1
+    assert err.startswith(f"error: config key '{key}': ")
+
+
+def test_segment_pick_out_of_range_exit_code(capsys, tmp_path):
+    img = tmp_path / "black.ppm"
+    imaging.write_ppm(Frame.filled(16, 16, 0), img)
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "segment", str(img), "--pick", "300,0,0")
+    assert exc.value.code == 2
+    assert "--pick" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload, width, height", [(b"", "0", "0"),
+                                                    (b"\x00" * 12, "-2", "-3")],
+                         ids=["0x0", "-2x-3"])
+def test_segment_bad_raw_dimensions_exit_code(capsys, tmp_path, payload,
+                                              width, height):
+    raw = tmp_path / "frame.rgb565"
+    raw.write_bytes(payload)
+    code, out, err = run(capsys, "segment", str(raw), "--pick", "255,0,0",
+                         "--width", width, "--height", height)
+    assert code == 1
+    assert err.startswith("error: bad raw dimensions")
+    assert out == ""
 
 
 def test_bad_config_path_exit_code(capsys):

@@ -47,6 +47,13 @@ def test_scenario_validation():
         for bad in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValueError, match=name):
                 Scenario(**{name: bad})
+    for name, bads in (("illumination", (-0.1, 1.5, math.nan)),
+                       ("rgb_margin", (-1,)),
+                       ("chroma_margin", (-0.1, math.nan))):
+        for bad in bads:
+            with pytest.raises(ValueError, match=name):
+                Scenario(**{name: bad})
+    assert Scenario(illumination=0.0, rgb_margin=0, chroma_margin=0.0)
     # a scenario that would run no frame
     with pytest.raises(ValueError, match="duration"):
         Scenario(sample_time=10.0, duration=1.0)
@@ -406,7 +413,20 @@ def test_config_key_sets_exactly_its_field(key):
                                        ("background", "1,2"),
                                        ("pan_k", "-1"),
                                        ("width", "0"),
-                                       ("po", "150")])
+                                       ("po", "150"),
+                                       ("illumination", "-1"),
+                                       ("illumination", "1.5"),
+                                       ("rgb_margin", "-5"),
+                                       ("chroma_margin", "-0.1"),
+                                       ("background", "300,0,0"),
+                                       ("object_color", "0,-1,0")])
 def test_config_value_error_names_the_key(key, text):
     with pytest.raises(ValueError, match=f"^config key '{key}': "):
         cfgmod.scenario_from_config({key: text})
+
+
+def test_parse_color_range():
+    assert cfgmod.parse_color("0, 128,255") == (0, 128, 255)
+    for text in ("256,0,0", "0,-1,0", "0,0,1000"):
+        with pytest.raises(ValueError, match="0..255"):
+            cfgmod.parse_color(text)

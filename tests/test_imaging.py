@@ -214,3 +214,16 @@ def test_rgb565_size_mismatch(tmp_path):
     p.write_bytes(b"\x00\x00")
     with pytest.raises(ValueError, match="expected"):
         imaging.read_rgb565(p, 2, 2)
+
+
+@pytest.mark.parametrize("payload, width, height", [
+    (b"", 0, 0),
+    (b"\x00" * 12, -2, -3),
+    (b"", 4, 0),
+    (b"", 0, 4),
+], ids=["0x0", "-2x-3", "4x0", "0x4"])
+def test_rgb565_bad_dimensions(tmp_path, payload, width, height):
+    p = tmp_path / "bad.rgb565"
+    p.write_bytes(payload)
+    with pytest.raises(ValueError, match="bad raw dimensions"):
+        imaging.read_rgb565(p, width, height)

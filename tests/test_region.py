@@ -7,8 +7,8 @@ from colortrack.harness import Scenario
 from colortrack.imaging import render
 from colortrack.plant import CameraPose
 from colortrack import region
-from colortrack.region import (RegionDescriptor, ScanParams, _component_stats,
-                               _runs, find_initial_run, locate, trace_contour)
+from colortrack.region import (RegionDescriptor, ScanParams, _runs,
+                               find_initial_run, locate, trace_contour)
 from colortrack.segmentation import PackedBinaryMask
 
 
@@ -16,21 +16,17 @@ def mask_from(bits):
     return PackedBinaryMask.from_bool(np.asarray(bits, dtype=bool))
 
 
-def flood_oracle(bits, seed):
-    """8-connected flood fill from seed, the independent oracle.
-
-    Returns the bounding box (top, bottom, left, right), the pixel count and
-    the mean-position centroid (x, y).
-    """
+def flood_pixels(bits, seed):
+    """8-connected flood fill from seed, the independent oracle: the (x, y)
+    pixels of seed's component."""
     h, w = bits.shape
     seen = np.zeros_like(bits)
     stack = [seed]
     seen[seed[1], seed[0]] = True
-    xs, ys = [], []
+    pixels = []
     while stack:
         x, y = stack.pop()
-        xs.append(x)
-        ys.append(y)
+        pixels.append((x, y))
         for dx in (-1, 0, 1):
             for dy in (-1, 0, 1):
                 nx, ny = x + dx, y + dy
@@ -38,9 +34,23 @@ def flood_oracle(bits, seed):
                         and not seen[ny, nx]):
                     seen[ny, nx] = True
                     stack.append((nx, ny))
+    return pixels
+
+
+def flood_oracle(bits, seed):
+    """The bounding box (top, bottom, left, right), the pixel count and the
+    mean-position centroid (x, y) of seed's component, by flood fill."""
+    xs, ys = zip(*flood_pixels(bits, seed))
     n = len(xs)
     return ((min(ys), max(ys), min(xs), max(xs)), n,
             (sum(xs) / n, sum(ys) / n))
+
+
+def anchor_oracle(bits, seed):
+    """Right end of the leftmost run on the top row of seed's component,
+    where the walk must start whichever pixel it is given."""
+    top, left = min((y, x) for x, y in flood_pixels(bits, seed))
+    return run_end(bits, left, top), top
 
 
 def reference_initial_run(bits, min_width):
@@ -113,13 +123,6 @@ def reference_walk(bits, start):
         top=top, bottom=bottom, left=left, right=right,
         center_x=int((left + right) / 2), center_y=int((top + bottom) / 2),
         contour_length=length)
-
-
-def run_ends(bits):
-    """The right end (x, y) of every horizontal run of set pixels."""
-    return [(x, y) for y in range(bits.shape[0])
-            for x in np.flatnonzero(bits[y]).tolist()
-            if x + 1 == bits.shape[1] or not bits[y, x + 1]]
 
 
 def test_scan_params_validation():
@@ -262,15 +265,36 @@ def test_exhaustive_small_masks(shape):
 
 @pytest.mark.parametrize("shape", [(3, 4), (4, 3)])
 def test_trace_matches_reference_walk_exhaustive(shape):
-    # every field, contour_length included, from every run end of every mask
+    # every field, contour_length included, from every set pixel of every
+    # mask, against the reference walk from the component's anchor
     h, w = shape
     place = np.arange(h * w).reshape(shape)
     for code in range(1 << (h * w)):
         bits = (code >> place) & 1 == 1
         mask = mask_from(bits)
-        for start in run_ends(bits):
-            assert trace_contour(mask, start) == reference_walk(bits, start), \
-                (code, start)
+        for y, x in zip(*np.nonzero(bits)):
+            start = int(x), int(y)
+            assert trace_contour(mask, start) == \
+                reference_walk(bits, anchor_oracle(bits, start)), (code, start)
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (4, 3)])
+def test_locate_descriptor_independent_of_min_width(shape):
+    # whenever two min_widths find their first run in the same component,
+    # locate describes that component identically, contour length included
+    h, w = shape
+    place = np.arange(h * w).reshape(shape)
+    for code in range(1 << (h * w)):
+        bits = (code >> place) & 1 == 1
+        mask = mask_from(bits)
+        by_anchor = {}
+        for min_width in (1, 2, 3):
+            run = find_initial_run(mask, ScanParams(min_width))
+            if run is None:
+                continue
+            reg = locate(mask, ScanParams(min_width), fill_count=True)
+            anchor = anchor_oracle(bits, (run[2], run[0]))
+            assert by_anchor.setdefault(anchor, reg) == reg, (code, min_width)
 
 
 @pytest.mark.parametrize("rows, min_width, run, limits, count", [
@@ -321,22 +345,19 @@ def test_fill_from_any_pixel_property(bits, pick):
     ys, xs = np.nonzero(bits)
     if ys.size == 0:
         return
-    x, y = int(xs[pick % ys.size]), int(ys[pick % ys.size])
-    _, n, centroid = flood_oracle(bits, (x, y))
-    assert _component_stats(_runs(bits), x, y) == (n, centroid)
-    # from the right end of that pixel's run, as the walk needs, the stats
-    # hold wherever the walk stops
-    assert_fill_matches_oracle(bits, (run_end(bits, x, y), y))
+    assert_fill_matches_oracle(
+        bits, (int(xs[pick % ys.size]), int(ys[pick % ys.size])))
 
 
 @given(random_masks, st.integers(0, 2**32 - 1))
 @settings(max_examples=100, deadline=None)
 def test_trace_matches_reference_walk_property(bits, pick):
-    ends = run_ends(bits)
-    if not ends:
+    ys, xs = np.nonzero(bits)
+    if ys.size == 0:
         return
-    start = ends[pick % len(ends)]
-    assert trace_contour(mask_from(bits), start) == reference_walk(bits, start)
+    start = int(xs[pick % ys.size]), int(ys[pick % ys.size])
+    assert trace_contour(mask_from(bits), start) == \
+        reference_walk(bits, anchor_oracle(bits, start))
 
 
 @given(random_masks, st.integers(1, 4))
