@@ -50,7 +50,25 @@ def cmd_design(args) -> int:
     return 0
 
 
+def _pick_color(text: str) -> tuple[int, int, int]:
+    """`parse_color` for an argparse flag, which shows only this error type."""
+    try:
+        return cfgmod.parse_color(text)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+
+
+# segment flags checked by the rule of the Scenario field of the same name.
+_SEGMENT_FLAGS = {"rgb_margin": "--rgb-margin",
+                  "chroma_margin": "--chroma-margin", "i_min": "--i-min"}
+
+
 def cmd_segment(args) -> int:
+    for name, flag in _SEGMENT_FLAGS.items():
+        try:
+            harness.check_field(name, getattr(args, name))
+        except ValueError as e:
+            raise ValueError(f"{flag}: {e}") from None
     frame = _load_frame(args)
     threshold = segmentation.threshold_from_pick(
         args.pick, args.mode, rgb_margin=args.rgb_margin,
@@ -150,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("image", help="PPM (P6) or raw .rgb565 input")
     p.add_argument("--width", type=int, help="raw input width")
     p.add_argument("--height", type=int, help="raw input height")
-    p.add_argument("--pick", type=cfgmod.parse_color, required=True,
+    p.add_argument("--pick", type=_pick_color, required=True,
                    help="picked color R,G,B (8-bit)")
     p.add_argument("--mode", choices=("rgb", "chroma"), default=Scenario.mode)
     p.add_argument("--rgb-margin", type=int, default=Scenario.rgb_margin)

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from array import array
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 from typing import Optional
 
 import numpy as np
@@ -25,9 +28,11 @@ SCENARIO_KINDS = ("step_track", "clock_motion")
 _FIELD_RULES = {
     "duration": (lambda v: math.isfinite(v) and v > 0, "finite and > 0"),
     "sample_time": (lambda v: math.isfinite(v) and v > 0, "finite and > 0"),
+    "object_size": (lambda v: math.isfinite(v) and v > 0, "finite and > 0"),
     "illumination": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
     "rgb_margin": (lambda v: v >= 0, ">= 0"),
     "chroma_margin": (lambda v: v >= 0, ">= 0"),
+    "i_min": (lambda v: v >= 1, ">= 1"),
 }
 
 
@@ -53,6 +58,9 @@ class ObjectMotion:
     def __post_init__(self):
         if self.kind not in ("fixed", "circular"):
             raise ValueError(f"unknown motion kind: {self.kind!r}")
+        if not all(map(math.isfinite,
+                       (self.az, self.el, self.radius, self.phase))):
+            raise ValueError("motion az, el, radius and phase must be finite")
         if self.kind == "circular" and self.period <= 0:
             raise ValueError("circular motion period must be > 0")
 
@@ -148,15 +156,73 @@ class TrajectoryRow:
     found: bool
 
 
-@dataclass
-class TrajectoryRecord:
-    rows: list[TrajectoryRow] = field(default_factory=list)
+_ROW_FIELDS = tuple(f.name for f in fields(TrajectoryRow))
+_ROW_WIDTH = len(_ROW_FIELDS)
+_row_values = attrgetter(*_ROW_FIELDS)
+
+
+class TrajectoryRecord(Sequence):
+    """The rows of one run, packed ten doubles a row into one array('d').
+
+    A row is rebuilt as a TrajectoryRow only when one is asked for; the
+    integer and boolean fields are exact in a double. Records compare by
+    their bytes, so two runs with the same lost (NaN) frames are equal, and
+    the repr shows every value exactly.
+    """
+
+    __slots__ = ("_values",)
+
+    def __init__(self, rows: Iterable[TrajectoryRow] = ()):
+        self._values = array("d")
+        for row in rows:
+            self.append(row)
+
+    def append(self, row: TrajectoryRow) -> None:
+        self._values.extend(_row_values(row))
+
+    def __len__(self) -> int:
+        return len(self._values) // _ROW_WIDTH
+
+    def _start(self, i: int) -> int:
+        n = len(self)
+        i = i + n if i < 0 else i
+        if not 0 <= i < n:
+            raise IndexError("trajectory row index out of range")
+        return i * _ROW_WIDTH
+
+    def __getitem__(self, i: int) -> TrajectoryRow:
+        k = self._start(i)
+        return _row_from(self._values[k:k + _ROW_WIDTH])
+
+    def __setitem__(self, i: int, row: TrajectoryRow) -> None:
+        k = self._start(i)
+        self._values[k:k + _ROW_WIDTH] = array("d", _row_values(row))
+
+    def __iter__(self):
+        v = self._values
+        for k in range(0, len(v), _ROW_WIDTH):
+            yield _row_from(v[k:k + _ROW_WIDTH])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TrajectoryRecord):
+            return NotImplemented
+        return self._values.tobytes() == other._values.tobytes()
+
+    def __repr__(self) -> str:
+        return f"TrajectoryRecord({self._values!r})"
 
     def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(r, name) for r in self.rows], dtype=float)
+        """One field of every row, as a float array."""
+        j = _ROW_FIELDS.index(name)
+        return np.frombuffer(self._values)[j::_ROW_WIDTH].copy()
 
 
-@dataclass(frozen=True)
+def _row_from(v) -> TrajectoryRow:
+    return TrajectoryRow(v[0], v[1], v[2], v[3], v[4], v[5], v[6],
+                         int(v[7]), int(v[8]), bool(v[9]))
+
+
+@dataclass(frozen=True, slots=True)
 class TrackingMetrics:
     settling_time: Optional[float]  # None when the error never settles
     overshoot_pct: float
@@ -226,8 +292,8 @@ def run_scenario(s: Scenario) -> tuple[TrajectoryRecord, TrackingMetrics]:
             ex = ey = math.nan
             cx = cy = -1
             found = False  # hold the last command
-        rec.rows.append(TrajectoryRow(t, ex, ey, ux, uy,
-                                      pan.angle, tilt.angle, cx, cy, found))
+        rec.append(TrajectoryRow(t, ex, ey, ux, uy,
+                                 pan.angle, tilt.angle, cx, cy, found))
         if s.tracking:
             pan = plant_step(pan, s.pan_model, ux, s.sample_time)
             tilt = plant_step(tilt, s.tilt_model, uy, s.sample_time)
@@ -238,7 +304,7 @@ def settling_time(rec: TrajectoryRecord, band: float) -> Optional[float]:
     """Earliest time after which both error components stay within the band."""
     if band <= 0:
         raise ValueError("band must be > 0")
-    if not rec.rows:
+    if not len(rec):
         return None
     ex = rec.column("ex")
     ey = rec.column("ey")
@@ -247,17 +313,26 @@ def settling_time(rec: TrajectoryRecord, band: float) -> Optional[float]:
     if not outside.any():
         return 0.0
     last = int(np.flatnonzero(outside)[-1])
-    if last == len(rec.rows) - 1:
+    if last == len(rec) - 1:
         return None
-    return rec.rows[last + 1].t
+    return float(rec.column("t")[last + 1])
+
+
+def _first_found_error(rec: TrajectoryRecord) -> Optional[tuple[float, float]]:
+    """(ex, ey) of the first frame that found the object, if any did."""
+    found = np.flatnonzero(rec.column("found"))
+    if not len(found):
+        return None
+    k = int(found[0])
+    return float(rec.column("ex")[k]), float(rec.column("ey")[k])
 
 
 def default_band(rec: TrajectoryRecord) -> float:
     """2% of the initial error magnitude, floored at 3 px."""
-    first = next((r for r in rec.rows if r.found), None)
+    first = _first_found_error(rec)
     if first is None:
         return 3.0
-    return max(3.0, 0.02 * math.hypot(first.ex, first.ey))
+    return max(3.0, 0.02 * math.hypot(*first))
 
 
 def _overshoot_pct(t: np.ndarray, e0: float) -> float:
@@ -268,24 +343,27 @@ def _overshoot_pct(t: np.ndarray, e0: float) -> float:
 
 
 def compute_metrics(rec: TrajectoryRecord) -> TrackingMetrics:
-    lost = sum(1 for r in rec.rows if not r.found)
-    settle = settling_time(rec, default_band(rec)) if rec.rows else None
-    first = next((r for r in rec.rows if r.found), None)
+    found = rec.column("found") != 0
+    n_found = int(found.sum())
+    settle = settling_time(rec, default_band(rec)) if len(rec) else None
+    first = _first_found_error(rec)
     over = 0.0
     if first is not None:
-        over = max(_overshoot_pct(rec.column("ex"), first.ex),
-                   _overshoot_pct(rec.column("ey"), first.ey))
-    centers = [(r.cx, r.cy) for r in rec.rows if r.found]
-    if len(centers) >= 3:
+        over = max(_overshoot_pct(rec.column("ex"), first[0]),
+                   _overshoot_pct(rec.column("ey"), first[1]))
+    if n_found >= 3:
+        centers = np.column_stack((rec.column("cx")[found],
+                                   rec.column("cy")[found]))
         mean_r, std_r = circle_stats(centers)
     else:
         mean_r = std_r = 0.0
     return TrackingMetrics(settling_time=settle, overshoot_pct=over,
                            mean_radius=mean_r, radius_std=std_r,
-                           lost_frames=lost)
+                           lost_frames=len(rec) - n_found)
 
 
-def circle_stats(centers: list[tuple[float, float]]) -> tuple[float, float]:
+def circle_stats(centers: Sequence[tuple[float, float]] | np.ndarray
+                 ) -> tuple[float, float]:
     """Mean radius and population std of points around their mean center."""
     if len(centers) < 3:
         raise ValueError("need at least 3 points")
@@ -301,7 +379,7 @@ CSV_HEADER = "t,ex,ey,ux,uy,pan,tilt,cx,cy,found"
 def write_csv(rec: TrajectoryRecord, path) -> None:
     with open(path, "w") as f:
         f.write(CSV_HEADER + "\n")
-        for r in rec.rows:
+        for r in rec:
             f.write("%.6g,%.6g,%.6g,%.6g,%.6g,%.6g,%.6g,%d,%d,%d\n"
                     % (r.t, r.ex, r.ey, r.ux, r.uy, r.pan, r.tilt,
                        r.cx, r.cy, int(r.found)))
@@ -317,7 +395,7 @@ def read_csv(path) -> TrajectoryRecord:
             v = line.strip().split(",")
             if len(v) != 10:
                 raise ValueError(f"bad CSV row: {line!r}")
-            rec.rows.append(TrajectoryRow(
+            rec.append(TrajectoryRow(
                 float(v[0]), float(v[1]), float(v[2]), float(v[3]),
                 float(v[4]), float(v[5]), float(v[6]), int(v[7]),
                 int(v[8]), bool(int(v[9]))))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,6 +101,8 @@ class Shape:
     def __post_init__(self):
         if self.kind not in ("disk", "triangle", "rectangle"):
             raise ValueError(f"unknown shape kind: {self.kind!r}")
+        if not all(map(math.isfinite, (self.az, self.el, self.size))):
+            raise ValueError("shape az, el and size must be finite")
         if self.size <= 0:
             raise ValueError("shape angular size must be > 0")
 
@@ -123,21 +126,44 @@ def _lit(color: tuple[int, int, int], illumination: float) -> tuple[int, int, in
     return tuple(int(illumination * c) for c in color)
 
 
+def _extent(c: float, r: float, n: int) -> tuple[int, int]:
+    """Pixel index range [lo, hi) on an axis of n that c ± r can cover.
+
+    The margin of 1 px, plus a relative part for far-off centres where
+    `pixel - c` rounds, covers every pixel the coverage tests can accept.
+    The bounds are clamped in float before the int conversion. A bound
+    that overflows (an infinite centre or radius) clamps to the frame's
+    edge or, as NaN, falls back to the whole axis; there the coverage
+    tests decide as they would over the full frame.
+    """
+    margin = 1.0 + 1e-9 * (abs(c) + r)
+    lo, hi = c - r - margin, c + r + margin
+    lo = math.floor(min(lo, n)) if lo > 0 else 0
+    hi = math.floor(max(hi, -1.0)) + 1 if hi < n else n
+    return lo, hi
+
+
 def render(scene: Scene, pose, intrinsics) -> Frame:
     """Rasterize a scene as seen from a camera pose.
 
     Later shapes overdraw earlier ones; every color is scaled by the scene
-    illumination (floor) and quantized to RGB565 by truncation.
+    illumination (floor) and quantized to RGB565 by truncation. Each shape
+    is tested only over its clipped pixel bounding box, with the same
+    per-pixel expressions as over the full frame.
     """
     w, h = intrinsics.width, intrinsics.height
     bg = narrow(*_lit(scene.background, scene.illumination))
     pixels = np.full((h, w), bg, dtype=np.uint16)
-    ys, xs = np.mgrid[0:h, 0:w]
     for shape in scene.shapes:
         cx = w / 2 + (shape.az - pose.pan) * intrinsics.ppd_x
         cy = h / 2 + (shape.el - pose.tilt) * intrinsics.ppd_y
         rx = shape.size / 2 * intrinsics.ppd_x
         ry = shape.size / 2 * intrinsics.ppd_y
+        x0, x1 = _extent(cx, rx, w)
+        y0, y1 = _extent(cy, ry, h)
+        if x0 >= x1 or y0 >= y1:
+            continue
+        ys, xs = np.ogrid[y0:y1, x0:x1]
         if shape.kind == "disk":
             covered = ((xs - cx) / rx) ** 2 + ((ys - cy) / ry) ** 2 <= 1.0
         elif shape.kind == "rectangle":
@@ -145,7 +171,8 @@ def render(scene: Scene, pose, intrinsics) -> Frame:
         else:  # triangle: apex up, base down, inscribed in the bounding box
             u = (ys - (cy - ry)) / (2 * ry)  # 0 at apex, 1 at base
             covered = (u >= 0) & (u <= 1) & (np.abs(xs - cx) <= rx * u)
-        pixels[covered] = narrow(*_lit(shape.color, scene.illumination))
+        color = narrow(*_lit(shape.color, scene.illumination))
+        pixels[y0:y1, x0:x1][covered] = color
     return Frame(w, h, pixels)
 
 

@@ -3,13 +3,15 @@
 Two threshold spaces are supported: a raw-RGB box, and rg chromaticity
 (normalized RGB), which is approximately invariant to illumination level.
 An RGB565 pixel has only 65,536 values, so either threshold is fully
-described by a verdict table indexed by the word: each call builds the
-table once, over the (r5, g6, b5) field grid, and segmenting a frame is one
-lookup per pixel (Bruce, Balch & Veloso, CMVision, IROS 2000).
+described by a verdict table indexed by the word. The table is built once
+per threshold, over the (r5, g6, b5) field grid, and kept for the next
+call; segmenting a frame is one lookup per pixel (Bruce, Balch & Veloso,
+CMVision, IROS 2000).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,11 +172,14 @@ def threshold_from_pick(color: tuple[int, int, int], mode: str, *,
     raise ValueError(f"unknown threshold mode: {mode!r}")
 
 
+@functools.lru_cache(maxsize=8)
 def _verdict_table(t) -> np.ndarray:
-    """Segmentation verdict for every RGB565 word, a (65536,) bool array.
+    """Segmentation verdict for every RGB565 word, a read-only bool array.
 
     The verdicts are computed over the (32, 64, 32) grid of (r5, g6, b5)
-    fields, whose C-order index is the word itself.
+    fields, whose C-order index is the word itself. Thresholds are frozen,
+    so the table of each of the last few is kept: a tracking run segments
+    every frame with the one threshold picked at its start.
     """
     r = widen_channels(np.arange(32) << 11)[:, 0].reshape(32, 1, 1)
     g = widen_channels(np.arange(64) << 5)[:, 1].reshape(1, 64, 1)
@@ -193,7 +198,9 @@ def _verdict_table(t) -> np.ndarray:
         table = ((i >= t.i_min)
                  & (cr >= t.r_min) & (cr <= t.r_max)
                  & (cg >= t.g_min) & (cg <= t.g_max))
-    return table.reshape(-1)
+    table = table.reshape(-1)
+    table.setflags(write=False)
+    return table
 
 
 def segment_rgb(frame: Frame, t: RgbBoxThreshold) -> PackedBinaryMask:

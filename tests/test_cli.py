@@ -123,7 +123,7 @@ def test_clock_keeps_config_motion_center(capsys, tmp_path):
     code, _, _ = run(capsys, "clock", "--set", "motion_az=5",
                      "--set", "duration=3.82", "--csv", str(csv))
     assert code == 0
-    rows = [r for r in harness.read_csv(csv).rows if r.found]
+    rows = [r for r in harness.read_csv(csv) if r.found]
     mean_cx = sum(r.cx for r in rows) / len(rows)
     assert abs(mean_cx - (160 + 5 * 8)) <= 2.0  # 5 deg right at 8 px/deg
 
@@ -151,7 +151,9 @@ def test_scenario_without_frames_exit_code(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("item", ["illumination=-1", "rgb_margin=-5",
-                                  "chroma_margin=-0.1", "background=300,0,0"])
+                                  "chroma_margin=-0.1", "background=300,0,0",
+                                  "object_size=inf", "object_size=nan",
+                                  "object_size=-1", "i_min=0"])
 def test_out_of_range_config_value_exit_code(capsys, item):
     key = item.partition("=")[0]
     code, _, err = run(capsys, "track", "--set", item)
@@ -165,7 +167,23 @@ def test_segment_pick_out_of_range_exit_code(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(capsys, "segment", str(img), "--pick", "300,0,0")
     assert exc.value.code == 2
-    assert "--pick" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "argument --pick: color channels must be in 0..255" in err
+
+
+@pytest.mark.parametrize("flag, value", [("--rgb-margin", "-5"),
+                                         ("--chroma-margin", "-0.1"),
+                                         ("--chroma-margin", "nan"),
+                                         ("--i-min", "0")])
+def test_segment_bad_threshold_flag_names_the_flag(capsys, tmp_path, flag,
+                                                  value):
+    img = tmp_path / "black.ppm"
+    imaging.write_ppm(Frame.filled(4, 4, 0), img)
+    code, out, err = run(capsys, "segment", str(img), "--pick", "100,50,20",
+                         "--mode", "rgb", flag, value)
+    assert code == 1
+    assert err.startswith(f"error: {flag}: ")
+    assert out == ""
 
 
 @pytest.mark.parametrize("payload, width, height", [(b"", "0", "0"),

@@ -1,11 +1,13 @@
 import math
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from colortrack import config as cfgmod
-from colortrack import harness
+from colortrack import harness, segmentation
 from colortrack.harness import (ObjectMotion, Scenario, TrajectoryRecord,
                                 TrajectoryRow, circle_stats, default_band,
                                 run_illumination_sweep, run_multi_object,
@@ -17,7 +19,7 @@ def synthetic_record(ts, exs, eys=None):
     rec = TrajectoryRecord()
     eys = eys if eys is not None else [0.0] * len(exs)
     for t, ex, ey in zip(ts, exs, eys):
-        rec.rows.append(TrajectoryRow(t, ex, ey, 0, 0, 0, 0, 160, 120, True))
+        rec.append(TrajectoryRow(t, ex, ey, 0, 0, 0, 0, 160, 120, True))
     return rec
 
 
@@ -26,6 +28,10 @@ def test_motion_validation():
         ObjectMotion(kind="spiral")
     with pytest.raises(ValueError):
         ObjectMotion(kind="circular", period=0.0)
+    for name in ("az", "el", "radius", "phase"):
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                ObjectMotion(**{name: bad})
 
 
 def test_motion_trajectories():
@@ -43,13 +49,14 @@ def test_scenario_validation():
         Scenario(kind="flight")
     with pytest.raises(ValueError):
         Scenario(duration=0.0)
-    for name in ("duration", "sample_time"):
+    for name in ("duration", "sample_time", "object_size"):
         for bad in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValueError, match=name):
                 Scenario(**{name: bad})
     for name, bads in (("illumination", (-0.1, 1.5, math.nan)),
                        ("rgb_margin", (-1,)),
-                       ("chroma_margin", (-0.1, math.nan))):
+                       ("chroma_margin", (-0.1, math.nan)),
+                       ("i_min", (0, -1))):
         for bad in bads:
             with pytest.raises(ValueError, match=name):
                 Scenario(**{name: bad})
@@ -94,8 +101,7 @@ def test_default_band_floor():
 
 def test_settling_lost_frames_count_as_outside():
     rec = synthetic_record([0.0, 0.1, 0.2], [0.0, math.nan, 0.0])
-    rec.rows[1] = TrajectoryRow(0.1, math.nan, math.nan, 0, 0, 0, 0, -1, -1,
-                                False)
+    rec[1] = TrajectoryRow(0.1, math.nan, math.nan, 0, 0, 0, 0, -1, -1, False)
     assert settling_time(rec, band=3.0) == pytest.approx(0.2)
 
 
@@ -135,9 +141,9 @@ def test_equilibrium_scenario():
                  motion=ObjectMotion(az=0.0, el=0.0))
     rec, metrics = run_scenario(s)
     assert metrics.lost_frames == 0
-    for r in rec.rows:
+    for r in rec:
         assert abs(r.ex) <= 1 and abs(r.ey) <= 1
-    assert abs(rec.rows[-1].ux - rec.rows[-2].ux) < 1e-6
+    assert abs(rec[-1].ux - rec[-2].ux) < 1e-6
 
 
 def test_step_track_settles():
@@ -147,7 +153,7 @@ def test_step_track_settles():
     assert metrics.lost_frames == 0
     assert metrics.settling_time is not None
     assert metrics.settling_time == pytest.approx(1.6, rel=0.25)
-    assert abs(rec.rows[-1].ex) <= 3 and abs(rec.rows[-1].ey) <= 3
+    assert abs(rec[-1].ex) <= 3 and abs(rec[-1].ey) <= 3
 
 
 def test_clock_scenario_radius():
@@ -156,7 +162,7 @@ def test_clock_scenario_radius():
                                      period=3.82))
     rec, metrics = run_scenario(s)
     # tracking is off: the camera never moves and no command is issued
-    assert all(r.pan == 0.0 and r.tilt == 0.0 and r.ux == 0.0 for r in rec.rows)
+    assert all(r.pan == 0.0 and r.tilt == 0.0 and r.ux == 0.0 for r in rec)
     assert metrics.mean_radius == pytest.approx(87.57, abs=2.0)
     assert metrics.radius_std < 4.0
 
@@ -165,16 +171,16 @@ def test_lost_object_holds_command():
     s = Scenario(kind="step_track", duration=1.0,
                  motion=ObjectMotion(az=25.0, el=0.0))  # outside the FOV
     rec, metrics = run_scenario(s)
-    assert metrics.lost_frames == len(rec.rows)
-    assert all(not r.found and r.ux == 0.0 and r.cx == -1 for r in rec.rows)
+    assert metrics.lost_frames == len(rec)
+    assert all(not r.found and r.ux == 0.0 and r.cx == -1 for r in rec)
 
 
 def test_commands_never_exceed_saturation():
     s = Scenario(kind="step_track", duration=4.0, u_min=-10.0, u_max=10.0,
                  motion=ObjectMotion(az=20.0, el=15.0))
     rec, _ = run_scenario(s)
-    assert all(s.u_min <= r.ux <= s.u_max for r in rec.rows)
-    assert all(s.u_min <= r.uy <= s.u_max for r in rec.rows)
+    assert all(s.u_min <= r.ux <= s.u_max for r in rec)
+    assert all(s.u_min <= r.uy <= s.u_max for r in rec)
 
 
 def test_scenario_deterministic():
@@ -182,7 +188,7 @@ def test_scenario_deterministic():
                  motion=ObjectMotion(az=12.0, el=-8.0))
     rec1, m1 = run_scenario(s)
     rec2, m2 = run_scenario(s)
-    assert rec1.rows == rec2.rows
+    assert rec1 == rec2
     assert m1 == m2
 
 
@@ -198,7 +204,7 @@ def test_scenario_segments_through_harness_names(monkeypatch, mode):
         monkeypatch.setattr(harness, name, counting)
     s = Scenario(duration=3 * harness.DEFAULT_SAMPLE_TIME, mode=mode)
     rec, _ = run_scenario(s)
-    assert len(rec.rows) == 3
+    assert len(rec) == 3
     assert calls == {"segment_chroma": 3 * (mode == "chroma"),
                      "segment_rgb": 3 * (mode == "rgb")}
 
@@ -257,8 +263,8 @@ def test_csv_round_trip(tmp_path):
     p = tmp_path / "run.csv"
     harness.write_csv(rec, p)
     back = harness.read_csv(p)
-    assert len(back.rows) == len(rec.rows)
-    for a, b in zip(back.rows, rec.rows):
+    assert len(back) == len(rec)
+    for a, b in zip(back, rec):
         assert a.t == pytest.approx(b.t, rel=1e-5)
         assert a.ux == pytest.approx(b.ux, rel=1e-5)
         assert (a.cx, a.cy, a.found) == (b.cx, b.cy, b.found)
@@ -274,6 +280,79 @@ def test_csv_byte_identical_across_runs(tmp_path):
         harness.write_csv(rec, p)
         paths.append(p.read_bytes())
     assert paths[0] == paths[1]
+
+
+def test_stock_csv_round_trips_byte_identically(tmp_path):
+    rec, _ = run_scenario(Scenario(motion=ObjectMotion(az=20.0, el=15.0)))
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    harness.write_csv(rec, first)
+    harness.write_csv(harness.read_csv(first), second)
+    assert second.read_bytes() == first.read_bytes()
+
+
+# -- packed trajectory record ------------------------------------------------
+
+LOST = TrajectoryRow(0.1, math.nan, math.nan, 0.5, 0.25, 1.0, -1.0, -1, -1,
+                     False)
+
+
+def test_record_is_a_sequence_of_rows():
+    rows = [TrajectoryRow(0.0, 2.0, -3.0, 0.5, 0.25, 1.0, -1.0, 160, 120, True),
+            LOST]
+    rec = TrajectoryRecord(rows)
+    # repr, because a row holding NaN is unequal even to its own copy
+    assert len(rec) == 2 and repr(list(rec)) == repr(rows)
+    assert rec[0] == rows[0] and repr(rec[-1]) == repr(rows[-1])
+    assert type(rec[0].cx) is int and type(rec[0].found) is bool
+    for bad in (2, -3):
+        with pytest.raises(IndexError):
+            rec[bad]
+    rec[0] = LOST
+    assert repr(list(rec)) == repr([LOST, LOST])
+    assert not hasattr(rec, "rows") and not hasattr(rec, "__dict__")
+
+
+def test_record_column_matches_rows():
+    s = Scenario(kind="step_track", duration=1.0,
+                 motion=ObjectMotion(az=20.0, el=15.0))
+    rec, _ = run_scenario(s)
+    rec.append(LOST)
+    for name in harness.CSV_HEADER.split(","):
+        expected = np.array([float(getattr(r, name)) for r in rec])
+        assert np.array_equal(rec.column(name), expected, equal_nan=True)
+    assert TrajectoryRecord().column("ex").shape == (0,)
+
+
+def test_record_lost_rows_compare_equal():
+    a, b = TrajectoryRecord([LOST] * 3), TrajectoryRecord([LOST] * 3)
+    assert a == b and repr(a) == repr(b)
+    b[1] = replace(LOST, ux=0.75)
+    assert a != b and repr(a) != repr(b)
+
+
+ROW_VALUES = st.sampled_from([0.0, -0.0, 1.0, 0.1, 1 / 3, math.nan,
+                              math.inf])
+
+
+@given(st.lists(st.tuples(ROW_VALUES, ROW_VALUES, st.integers(-1, 2),
+                          st.booleans()), max_size=3),
+       st.lists(st.tuples(ROW_VALUES, ROW_VALUES, st.integers(-1, 2),
+                          st.booleans()), max_size=3))
+def test_record_repr_equal_iff_records_equal(left, right):
+    a, b = (TrajectoryRecord(TrajectoryRow(0.0, ex, 0.0, ux, 0.0, 0.0, 0.0,
+                                           cx, 0, found)
+                             for ex, ux, cx, found in side)
+            for side in (left, right))
+    assert (repr(a) == repr(b)) == (a == b)
+    assert a == TrajectoryRecord(a)
+
+
+def test_stock_runs_build_one_verdict_table():
+    segmentation._verdict_table.cache_clear()
+    s = Scenario(motion=ObjectMotion(az=20.0, el=15.0))
+    run_scenario(s)
+    run_scenario(s)
+    assert segmentation._verdict_table.cache_info().misses == 1
 
 
 def test_csv_rejects_bad_header(tmp_path):
@@ -418,6 +497,12 @@ def test_config_key_sets_exactly_its_field(key):
                                        ("illumination", "1.5"),
                                        ("rgb_margin", "-5"),
                                        ("chroma_margin", "-0.1"),
+                                       ("i_min", "0"),
+                                       ("object_size", "inf"),
+                                       ("object_size", "nan"),
+                                       ("object_size", "-1"),
+                                       ("motion_az", "inf"),
+                                       ("motion_phase", "nan"),
                                        ("background", "300,0,0"),
                                        ("object_color", "0,-1,0")])
 def test_config_value_error_names_the_key(key, text):

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from colortrack import imaging
@@ -141,8 +143,91 @@ def test_shape_validation():
         Shape("hexagon", 0, 0, 1.0, (0, 0, 0))
     with pytest.raises(ValueError):
         Shape("disk", 0, 0, 0.0, (0, 0, 0))
+    for bad in (math.inf, -math.inf, math.nan):
+        for az, el, size in ((bad, 0.0, 1.0), (0.0, bad, 1.0), (0.0, 0.0, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                Shape("disk", az, el, size, (0, 0, 0))
     with pytest.raises(ValueError):
         Scene(illumination=1.5)
+
+
+def full_frame_render(scene, pose, intrinsics):
+    """Reference render: every shape's coverage tested over the whole frame."""
+    w, h = intrinsics.width, intrinsics.height
+    pixels = np.full((h, w), narrow(*imaging._lit(scene.background,
+                                                  scene.illumination)),
+                     dtype=np.uint16)
+    ys, xs = np.mgrid[0:h, 0:w]
+    for shape in scene.shapes:
+        cx = w / 2 + (shape.az - pose.pan) * intrinsics.ppd_x
+        cy = h / 2 + (shape.el - pose.tilt) * intrinsics.ppd_y
+        rx = shape.size / 2 * intrinsics.ppd_x
+        ry = shape.size / 2 * intrinsics.ppd_y
+        if shape.kind == "disk":
+            covered = ((xs - cx) / rx) ** 2 + ((ys - cy) / ry) ** 2 <= 1.0
+        elif shape.kind == "rectangle":
+            covered = (np.abs(xs - cx) <= rx) & (np.abs(ys - cy) <= ry)
+        else:
+            u = (ys - (cy - ry)) / (2 * ry)
+            covered = (u >= 0) & (u <= 1) & (np.abs(xs - cx) <= rx * u)
+        pixels[covered] = narrow(*imaging._lit(shape.color, scene.illumination))
+    return Frame(w, h, pixels)
+
+
+# Angles in view, off-frame, far enough off that `pixel - centre` rounds,
+# and large enough that the centre or radius overflows to infinity.
+ANGLES = st.one_of(st.floats(-30, 30), st.floats(-1e12, 1e12),
+                   st.sampled_from([1e17, -3e16 - 0.5, 1e308, -1e308]))
+SIZES = st.one_of(st.floats(1e-6, 0.3), st.floats(0.3, 15),
+                  st.sampled_from([2e17, 1e308, 5e-324]))
+SHAPES = st.builds(Shape, st.sampled_from(["disk", "rectangle", "triangle"]),
+                   ANGLES, ANGLES, SIZES,
+                   st.tuples(*[st.integers(0, 255)] * 3))
+
+
+@given(st.lists(SHAPES, min_size=1, max_size=3),
+       st.builds(CameraPose, st.one_of(st.floats(-20, 20), st.just(-1e308)),
+                 st.floats(-20, 20)),
+       st.builds(CameraIntrinsics, st.integers(1, 48), st.integers(1, 48),
+                 st.sampled_from([0.5, 3.7, 8.0, 16.0]),
+                 st.sampled_from([1.0, 8.0])),
+       st.sampled_from([1.0, 0.6]))
+@settings(max_examples=300, deadline=None)
+# A centre 1e17 px off, whose disk or rectangle edge is in view: there
+# `pixel - centre` rounds by several pixels.
+@example([Shape("disk", 1e17, 0.0, 2e17, (255, 0, 0))], CameraPose(),
+         CameraIntrinsics(50, 30, 1.0, 1.0), 1.0)
+@example([Shape("rectangle", -1e17, 0.0, 2e17, (255, 0, 0))], CameraPose(),
+         CameraIntrinsics(48, 30, 1.0, 1.0), 1.0)
+# An overflowed centre, and an overflowed radius.
+@example([Shape(kind, 1e308, 0.0, 4.0, (255, 0, 0))
+          for kind in ("disk", "rectangle", "triangle")],
+         CameraPose(-1e308, 0.0), CameraIntrinsics(20, 10, 8.0, 8.0), 1.0)
+@example([Shape(kind, 0.0, 0.0, 1e308, (255, 0, 0))
+          for kind in ("disk", "rectangle", "triangle")],
+         CameraPose(), CameraIntrinsics(20, 10, 8.0, 8.0), 1.0)
+def test_render_matches_full_frame_render(shapes, pose, intr, illumination):
+    scene = Scene((12, 34, 56), tuple(shapes), illumination)
+    with np.errstate(all="ignore"):  # inf - inf in overflowed poses
+        got = render(scene, pose, intr)
+        expected = full_frame_render(scene, pose, intr)
+    assert np.array_equal(got.pixels, expected.pixels)
+
+
+@pytest.mark.parametrize("kind, az, size, pan, covered", [
+    ("disk", 1e308, 4.0, -1e308, 0),  # the centre overflows to +inf
+    ("rectangle", 1e308, 4.0, -1e308, 0),
+    ("triangle", 1e308, 4.0, -1e308, 0),
+    ("disk", 0.0, 1e308, 0.0, 200),  # the radius overflows to +inf
+    ("rectangle", 0.0, 1e308, 0.0, 200),
+    ("triangle", 0.0, 1e308, 0.0, 0),
+])
+def test_render_overflowed_shape(kind, az, size, pan, covered):
+    scene = Scene((0, 0, 0), (Shape(kind, az, 0.0, size, (255, 0, 0)),))
+    with np.errstate(all="ignore"):
+        frame = render(scene, CameraPose(pan, 0.0),
+                       CameraIntrinsics(20, 10, 8.0, 8.0))
+    assert np.count_nonzero(frame.pixels) == covered
 
 
 # -- file I/O ----------------------------------------------------------------

@@ -294,3 +294,19 @@ def test_segmenters_match_oracle_on_every_word_property(pick, mode, rgb_margin,
     assert_every_word_matches_oracle(threshold_from_pick(
         pick, mode, rgb_margin=rgb_margin, chroma_margin=chroma_margin,
         i_min=i_min))
+
+
+@given(st.tuples(st.integers(0, 255), st.integers(0, 255), st.integers(0, 255)),
+       st.sampled_from(["rgb", "chroma"]), st.integers(0, 128),
+       st.floats(0.0, 0.5), st.integers(1, 765))
+@settings(max_examples=40, deadline=None)
+def test_verdict_table_is_kept_read_only(pick, mode, rgb_margin, chroma_margin,
+                                         i_min):
+    assume(mode == "rgb" or any(pick))
+    t = threshold_from_pick(pick, mode, rgb_margin=rgb_margin,
+                            chroma_margin=chroma_margin, i_min=i_min)
+    table = seg._verdict_table(t)
+    assert seg._verdict_table(t) is table
+    assert np.array_equal(table, seg._verdict_table.__wrapped__(t))
+    with pytest.raises(ValueError):
+        table[0] = True
