@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import fields, replace
 
-from .harness import Scenario, check_field
+from .harness import Scenario, check_field, check_saturation
 
 # Key prefix of each nested dataclass field; ObjectMotion.kind is `motion`.
 _PREFIXES = {"intrinsics": "", "pan_model": "pan_", "tilt_model": "tilt_",
@@ -80,6 +80,11 @@ def scenario_from_config(values: dict) -> Scenario:
         else:
             nested.setdefault(outer, {})[name] = value
     default = Scenario()
+    try:
+        check_saturation(*(top.get(k, getattr(default, k))
+                           for k in ("u_min", "u_max")))
+    except ValueError as e:
+        raise ValueError(f"config key 'u_min', 'u_max': {e}") from None
     for outer, changes in nested.items():
         try:
             top[outer] = replace(getattr(default, outer), **changes)

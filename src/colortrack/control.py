@@ -29,8 +29,9 @@ class PlantModel:
     tau: float  # seconds
 
     def __post_init__(self):
-        if not (self.k > 0 and self.tau > 0):
-            raise ValueError("plant gain and time constant must be > 0")
+        if not all(math.isfinite(v) and v > 0 for v in (self.k, self.tau)):
+            raise ValueError("plant gain and time constant must be finite "
+                             "and > 0")
 
 
 @dataclass(frozen=True)
@@ -41,8 +42,8 @@ class LoopSpec:
     po: float  # percent overshoot, in (0, 100)
 
     def __post_init__(self):
-        if self.ts <= 0:
-            raise ValueError("settling time must be > 0")
+        if not (math.isfinite(self.ts) and self.ts > 0):
+            raise ValueError("settling time must be finite and > 0")
         if not 0 < self.po < 100:
             raise ValueError("percent overshoot must be in (0, 100)")
 

@@ -33,6 +33,10 @@ _FIELD_RULES = {
     "rgb_margin": (lambda v: v >= 0, ">= 0"),
     "chroma_margin": (lambda v: v >= 0, ">= 0"),
     "i_min": (lambda v: v >= 1, ">= 1"),
+    "min_width": (lambda v: v >= 1, ">= 1"),
+    # Each axis's command starts at 0, so the limits must bracket it.
+    "u_min": (lambda v: v <= 0, "<= 0"),
+    "u_max": (lambda v: v >= 0, ">= 0"),
 }
 
 
@@ -42,6 +46,12 @@ def check_field(name: str, value) -> None:
         ok, must = _FIELD_RULES[name]
         if not ok(value):
             raise ValueError(f"{name} must be {must}")
+
+
+def check_saturation(u_min: float, u_max: float) -> None:
+    """Raise a ValueError unless the command limits leave room to move."""
+    if not u_min < u_max:
+        raise ValueError("u_min must be < u_max")
 
 
 @dataclass(frozen=True)
@@ -61,8 +71,9 @@ class ObjectMotion:
         if not all(map(math.isfinite,
                        (self.az, self.el, self.radius, self.phase))):
             raise ValueError("motion az, el, radius and phase must be finite")
-        if self.kind == "circular" and self.period <= 0:
-            raise ValueError("circular motion period must be > 0")
+        if self.kind == "circular" and not (math.isfinite(self.period)
+                                            and self.period > 0):
+            raise ValueError("circular motion period must be finite and > 0")
 
     def at(self, t: float) -> tuple[float, float]:
         if self.kind == "fixed":
@@ -105,6 +116,7 @@ class Scenario:
             raise ValueError(f"unknown scenario kind: {self.kind!r}")
         for name in _FIELD_RULES:
             check_field(name, getattr(self, name))
+        check_saturation(self.u_min, self.u_max)
         if self.n_frames < 1:
             raise ValueError("duration must round to at least one frame "
                              "of sample_time")

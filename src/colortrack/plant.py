@@ -38,8 +38,10 @@ class CameraIntrinsics:
     ppd_y: float = 8.0
 
     def __post_init__(self):
-        if min(self.width, self.height) <= 0 or min(self.ppd_x, self.ppd_y) <= 0:
-            raise ValueError("intrinsics must be positive")
+        if min(self.width, self.height) <= 0:
+            raise ValueError("frame width and height must be > 0")
+        if not all(math.isfinite(p) and p > 0 for p in (self.ppd_x, self.ppd_y)):
+            raise ValueError("pixels per degree must be finite and > 0")
 
 
 def plant_step(state: PlantState, model: PlantModel, u: float,

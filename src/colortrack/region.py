@@ -1,20 +1,22 @@
 """Region description: initial-run scan plus counter-clockwise contour walk.
 
-The scan and the walk each read the mask through a run encoding: horizontal
-runs (row, x0, x1) of set pixels, as in CMVision's run-based region
-extraction (Bruce, Balch & Veloso, IROS 2000). The initial scan takes the
-first run wide enough. The walk collects the 8-connected runs of its start
-pixel's component once (run-based labelling, He, Chao & Suzuki, IEEE TIP
-17(5), 2008) and starts at the right end of the component's first run in
-raster order, the leftmost run on its top row, whose east neighbour is
-outer background. The limits and the contour length come from the
-Moore-neighborhood walk over a zero-bordered byte copy of the mask; the
-optional pixel count and centroid are summed over the same runs, so their
-cost grows with the number of runs rather than pixels.
+`locate` encodes the mask once, as horizontal runs (row, x0, x1) of set
+pixels in CMVision's run-based style (Bruce, Balch & Veloso, IROS 2000),
+and hands the encoding to both the scan and the walk. The initial scan
+takes the first run wide enough. The walk collects the 8-connected runs of
+its start pixel's component once (run-based labelling, He, Chao & Suzuki,
+IEEE TIP 17(5), 2008): their extremes are the component's limits, and the
+right end of the first of them in raster order, the leftmost run on its
+top row, is the walk's start, whose east neighbour is outer background.
+The Moore-neighborhood walk runs over a zero-bordered byte copy of the
+component's bounding box only and counts the contour length as it goes;
+the optional pixel count and centroid are summed over the same runs, so
+their cost grows with the number of runs rather than pixels.
 """
 
 from __future__ import annotations
 
+import functools
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
@@ -27,6 +29,10 @@ from .segmentation import PackedBinaryMask
 # E, NE, N, NW, W, SW, S, SE
 _DX = (1, 1, 0, -1, -1, -1, 0, 1)
 _DY = (0, -1, -1, -1, 0, 1, 1, 1)
+# After a move in direction m, the cell examined just before it (direction
+# m-1 from the old pixel) is unset; seen from the new pixel it lies in
+# direction _BACK[m], where the next sweep starts.
+_BACK = tuple((2 * (m // 2) + 6) % 8 for m in range(8))
 
 
 @dataclass(frozen=True)
@@ -66,19 +72,26 @@ class ScanParams:
             raise ValueError("min_width must be >= 1")
 
 
-def find_initial_run(mask: PackedBinaryMask,
-                     params: ScanParams) -> Optional[tuple[int, int, int]]:
+def find_initial_run(mask: PackedBinaryMask, params: ScanParams, *,
+                     encoding=None) -> Optional[tuple[int, int, int]]:
     """First horizontal run of set pixels with length >= min_width.
 
     Scans from the top-left corner, rightward then downward, through the run
-    encoding of the whole mask. Returns (row, left_x, right_x) or None.
+    encoding of the whole mask: `encoding`, the mask's `_encode`, when
+    given. Returns (row, left_x, right_x) or None.
     """
-    ys, x0, x1 = _runs(mask.to_bool())
+    ys, x0, x1 = (_encode(mask) if encoding is None else encoding)[1]
     hit = np.flatnonzero(x1 - x0 + 1 >= params.min_width)
     if not hit.size:
         return None
     j = hit[0]
     return int(ys[j]), int(x0[j]), int(x1[j])
+
+
+def _encode(mask: PackedBinaryMask):
+    """The mask's unpacked bits and their runs, as (bits, _runs(bits))."""
+    bits = mask.to_bool()
+    return bits, _runs(bits)
 
 
 def _runs(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -96,75 +109,70 @@ def _runs(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def trace_contour(mask: PackedBinaryMask, start: tuple[int, int], *,
-                  fill_count: bool = False) -> RegionDescriptor:
+                  fill_count: bool = False, encoding=None) -> RegionDescriptor:
     """Counter-clockwise Moore-neighborhood walk round the component of a
     set pixel.
 
-    The start may be any set pixel. One pass over the run encoding collects
-    the runs of its 8-connected component, and the walk starts at the right
-    end of the first of them in raster order: the leftmost run on the
-    component's top row. The east neighbour of that pixel is outer
-    background, so the walk traces the outer boundary and never a hole, and
-    the result depends only on the component. The walk stops when the start
-    pixel is re-entered from the same direction as the first departure
-    (Jacob's stopping criterion); this survives one-pixel-wide spurs, where
-    stopping on any return to the start can cut the walk short. It runs
-    over a copy of the mask with a border of unset pixels, so a pixel is its
-    flat index in that copy and no neighbour needs a bounds check.
+    The start may be any set pixel. One pass over the run encoding
+    (`encoding`, the mask's `_encode`, when given) collects the runs of its
+    8-connected component; their extremes are the limits, since the outer
+    boundary touches every side of the component's bounding box. The walk
+    starts at the right end of the first of them in raster order: the
+    leftmost run on the component's top row. The east neighbour of that
+    pixel is outer background, so the walk traces the outer boundary and
+    never a hole, and the result depends only on the component. The walk
+    stops when the start pixel is re-entered from the same direction as the
+    first departure (Jacob's stopping criterion); this survives
+    one-pixel-wide spurs, where stopping on any return to the start can cut
+    the walk short. It runs over a copy of the bounding box with a border
+    of unset pixels, so a pixel is its flat index in that copy and no
+    neighbour needs a bounds check. No path is kept: the contour length is
+    the number of pixel visits, with the start counted once.
 
     With fill_count, pixel_count and the centroid are summed over the same
     component's runs.
     """
-    bits = mask.to_bool()
+    bits, runs = _encode(mask) if encoding is None else encoding
     h, w = bits.shape
     sx, sy = start
     if not (0 <= sx < w and 0 <= sy < h and bits[sy, sx]):
         raise ValueError(f"contour start ({sx}, {sy}) is not a set pixel")
-    runs = _runs(bits)
     comp = np.fromiter(_component_runs(runs, sx, sy), dtype=np.intp)
     rows, x0s, x1s = (a[comp] for a in runs)
     top_left = comp.argmin()  # runs are sorted by row, then by x0
-    sx, sy = int(x1s[top_left]), int(rows[top_left])
+    top, bottom = int(rows[top_left]), int(rows.max())
+    left, right = int(x0s.min()), int(x1s.max())
 
-    stride = w + 2
-    grid = np.zeros((h + 2, stride), dtype=np.uint8)
-    grid[1:-1, 1:-1] = bits
+    stride = right - left + 3
+    grid = np.zeros((bottom - top + 3, stride), dtype=np.uint8)
+    grid[1:-1, 1:-1] = bits[top:bottom + 1, left:right + 1]
     cells = grid.tobytes()
-    # Offsets of the eight neighbours, listed twice so the sweep below can
-    # run past direction 7 without a modulo.
-    ring = [dx + dy * stride for dx, dy in zip(_DX, _DY)] * 2
-    first = cur = (sy + 1) * stride + sx + 1
-    path = [cur]
+    sweeps = _sweeps(stride)
+    first = cur = stride + int(x1s[top_left]) - left + 1
     # The start's eastern neighbour is outer background; the walk
     # backtracks from there.
-    back = 0  # direction index from current pixel toward the backtrack cell
+    sweep = sweeps[0]
     first_move = None
-    cap = 4 * w * h
-    while True:
-        # CCW sweep of the 3x3 neighborhood, starting just past the backtrack
-        # cell; the first set pixel found is the next contour pixel.
-        for d in range(back + 1, back + 9):
-            if cells[cur + ring[d]]:
+    steps = returns = 0
+    for _ in range(4 * w * h + 1):  # the step cap: 4 steps per pixel
+        # The first set pixel of the CCW sweep is the next contour pixel.
+        for offset, move in sweep:
+            if cells[cur + offset]:
                 break
         else:
             break  # isolated pixel, one-pixel region
-        move = d % 8
         if cur == first:
             if first_move is None:
                 first_move = move
             elif move == first_move:
                 break  # the walk state has cycled back to its initial state
-        cur += ring[move]
-        path.append(cur)
-        # The cell examined just before the move (direction move-1 from the
-        # old pixel) is unset; seen from the new pixel it lies at:
-        back = (2 * (move // 2) + 6) % 8
-        if len(path) > cap + 1:
-            raise RuntimeError("contour walk exceeded the step cap")
+        cur += offset
+        steps += 1
+        returns += cur == first
+        sweep = sweeps[_BACK[move]]
+    else:
+        raise RuntimeError("contour walk exceeded the step cap")
 
-    ys, xs = np.divmod(np.array(path), stride)
-    top, bottom = int(ys.min()) - 1, int(ys.max()) - 1
-    left, right = int(xs.min()) - 1, int(xs.max()) - 1
     pixel_count = None
     centroid = (None, None)
     if fill_count:
@@ -176,9 +184,20 @@ def trace_contour(mask: PackedBinaryMask, start: tuple[int, int], *,
     return RegionDescriptor(
         top=top, bottom=bottom, left=left, right=right,
         center_x=int((left + right) / 2), center_y=int((top + bottom) / 2),
-        contour_length=len(path) - path.count(first) + 1,
+        contour_length=steps + 1 - returns,
         pixel_count=pixel_count, centroid_x=centroid[0],
         centroid_y=centroid[1])
+
+
+@functools.lru_cache(maxsize=64)
+def _sweeps(stride: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """For each backtrack direction b, the CCW sweep of the 3x3
+    neighborhood from just past b: (flat offset, direction) pairs in a grid
+    of row length `stride`. Kept per stride: a tracked object's box, and so
+    its stride, changes little from frame to frame."""
+    ring = [dx + dy * stride for dx, dy in zip(_DX, _DY)]
+    return tuple(tuple((ring[d % 8], d % 8) for d in range(b + 1, b + 9))
+                 for b in range(8))
 
 
 def _component_runs(runs, sx: int, sy: int) -> set[int]:
@@ -215,9 +234,15 @@ def _component_runs(runs, sx: int, sy: int) -> set[int]:
 
 def locate(mask: PackedBinaryMask, params: ScanParams = ScanParams(), *,
            fill_count: bool = False) -> Optional[RegionDescriptor]:
-    """Scan for the first qualifying run and trace its component's contour."""
-    run = find_initial_run(mask, params)
+    """Scan for the first qualifying run and trace its component's contour.
+
+    The mask is encoded once, for both. Both are called through this
+    module's names, where the benchmark's tracer patches them.
+    """
+    encoding = _encode(mask)
+    run = find_initial_run(mask, params, encoding=encoding)
     if run is None:
         return None
     row, _, right_x = run
-    return trace_contour(mask, (right_x, row), fill_count=fill_count)
+    return trace_contour(mask, (right_x, row), fill_count=fill_count,
+                         encoding=encoding)

@@ -153,12 +153,32 @@ def test_scenario_without_frames_exit_code(capsys, tmp_path):
 @pytest.mark.parametrize("item", ["illumination=-1", "rgb_margin=-5",
                                   "chroma_margin=-0.1", "background=300,0,0",
                                   "object_size=inf", "object_size=nan",
-                                  "object_size=-1", "i_min=0"])
+                                  "object_size=-1", "i_min=0",
+                                  # checked by a nested dataclass, or only
+                                  # at run time before they had a rule
+                                  "ppd_x=inf", "ppd_x=nan", "ppd_y=0",
+                                  "ts=nan", "ts=inf", "pan_tau=inf",
+                                  "tilt_k=nan", "u_max=nan", "u_min=nan",
+                                  "u_min=5", "u_max=-1", "min_width=0"])
 def test_out_of_range_config_value_exit_code(capsys, item):
     key = item.partition("=")[0]
     code, _, err = run(capsys, "track", "--set", item)
     assert code == 1
     assert err.startswith(f"error: config key '{key}': ")
+
+
+@pytest.mark.parametrize("items, keys", [
+    (["u_min=0", "u_max=0"], "'u_min', 'u_max'"),
+    (["motion=circular", "motion_period=nan"], "'motion', 'motion_period'"),
+], ids=["u_min=u_max", "circular-period-nan"])
+def test_bad_joint_config_values_name_every_key(capsys, items, keys):
+    # a rule on two keys, or a nested dataclass's own check, is applied
+    # before the run and names every key given for it
+    argv = [arg for item in items for arg in ("--set", item)]
+    code, out, err = run(capsys, "track", *argv)
+    assert code == 1
+    assert err.startswith(f"error: config key {keys}: ")
+    assert out == ""
 
 
 def test_segment_pick_out_of_range_exit_code(capsys, tmp_path):

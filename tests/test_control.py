@@ -23,6 +23,13 @@ def test_type_validation():
         LoopSpec(ts=0.0, po=10.0)
     with pytest.raises(ValueError):
         LoopSpec(ts=1.0, po=100.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="settling time"):
+            LoopSpec(ts=bad, po=10.0)
+        with pytest.raises(ValueError, match="plant gain"):
+            PlantModel(bad, 1.0)
+        with pytest.raises(ValueError, match="plant gain"):
+            PlantModel(1.0, bad)
 
 
 def test_damping_examples():

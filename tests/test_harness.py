@@ -47,6 +47,8 @@ def test_motion_trajectories():
 def test_scenario_validation():
     with pytest.raises(ValueError):
         Scenario(kind="flight")
+    with pytest.raises(ValueError, match="period"):
+        ObjectMotion(kind="circular", period=math.nan)
     with pytest.raises(ValueError):
         Scenario(duration=0.0)
     for name in ("duration", "sample_time", "object_size"):
@@ -56,11 +58,17 @@ def test_scenario_validation():
     for name, bads in (("illumination", (-0.1, 1.5, math.nan)),
                        ("rgb_margin", (-1,)),
                        ("chroma_margin", (-0.1, math.nan)),
-                       ("i_min", (0, -1))):
+                       ("i_min", (0, -1)),
+                       ("min_width", (0, -3)),
+                       ("u_min", (0.5, math.nan)),
+                       ("u_max", (-0.5, math.nan))):
         for bad in bads:
             with pytest.raises(ValueError, match=name):
                 Scenario(**{name: bad})
     assert Scenario(illumination=0.0, rgb_margin=0, chroma_margin=0.0)
+    with pytest.raises(ValueError, match="u_min must be < u_max"):
+        Scenario(u_min=0.0, u_max=0.0)
+    assert Scenario(u_min=-math.inf, u_max=0.0)
     # a scenario that would run no frame
     with pytest.raises(ValueError, match="duration"):
         Scenario(sample_time=10.0, duration=1.0)

@@ -137,3 +137,7 @@ def test_intrinsics_validation():
         CameraIntrinsics(width=0)
     with pytest.raises(ValueError):
         CameraIntrinsics(ppd_x=-1.0)
+    for bad in (0.0, math.nan, math.inf):
+        for axis in ("ppd_x", "ppd_y"):
+            with pytest.raises(ValueError, match="pixels per degree"):
+                CameraIntrinsics(**{axis: bad})

@@ -423,7 +423,8 @@ def test_locate_reports_first_blob_only():
 
 def test_locate_calls_scan_and_walk_through_region_names(monkeypatch):
     # the benchmark traces the scan and the walk by patching these names in
-    # region, so locate must call each once per region it finds
+    # region, so locate must call each once per region it finds, and hand
+    # both the one encoding it made
     calls = {"find_initial_run": [], "trace_contour": []}
     for name in calls:
         def counting(*args, name=name, fn=getattr(region, name), **kwargs):
@@ -438,9 +439,34 @@ def test_locate_calls_scan_and_walk_through_region_names(monkeypatch):
              for bits in (blob, narrow, blob) for fill in (False, True)]
     assert [reg is not None for reg in found] == [True, True, False, False,
                                                   True, True]
-    assert len(calls["find_initial_run"]) == 6
-    assert calls["trace_contour"] == [{"fill_count": False},
-                                      {"fill_count": True}] * 2
+    scans, walks = calls["find_initial_run"], calls["trace_contour"]
+    assert len(scans) == 6 and all(k.keys() == {"encoding"} for k in scans)
+    assert [sorted(k) for k in walks] == [["encoding", "fill_count"]] * 4
+    assert [k["fill_count"] for k in walks] == [False, True] * 2
+    # the scans of the four located masks are calls 0, 1, 4 and 5
+    for scan, walk in zip([scans[i] for i in (0, 1, 4, 5)], walks):
+        assert walk["encoding"] is scan["encoding"]
+    assert len({id(k["encoding"]) for k in scans}) == 6
+
+
+@given(random_masks, st.integers(1, 4), st.integers(0, 2**32 - 1),
+       st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_shared_encoding_gives_same_results_property(bits, min_width, pick,
+                                                     fill):
+    # the scan and the walk give the same result whether they encode the
+    # mask themselves or are handed its encoding
+    mask = mask_from(bits)
+    encoding = region._encode(mask)
+    params = ScanParams(min_width)
+    assert find_initial_run(mask, params, encoding=encoding) == \
+        find_initial_run(mask, params)
+    ys, xs = np.nonzero(bits)
+    if ys.size == 0:
+        return
+    start = int(xs[pick % ys.size]), int(ys[pick % ys.size])
+    assert trace_contour(mask, start, fill_count=fill, encoding=encoding) == \
+        trace_contour(mask, start, fill_count=fill)
 
 
 def test_locate_empty_mask():

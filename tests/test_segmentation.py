@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from colortrack import segmentation as seg
@@ -310,3 +310,38 @@ def test_verdict_table_is_kept_read_only(pick, mode, rgb_margin, chroma_margin,
     assert np.array_equal(table, seg._verdict_table.__wrapped__(t))
     with pytest.raises(ValueError):
         table[0] = True
+
+
+# chromaticity bounds: any fraction, or a widened channel value over a
+# luminance, a ratio some word's r/I or g/I can equal exactly, so that a
+# bound falls on a verdict's edge
+bounds = st.one_of(
+    st.floats(0.0, 1.0),
+    st.builds(lambda n, d: n / d,
+              st.sampled_from(sorted({c for w in WIDENED for c in w})),
+              st.integers(1, 765)).filter(lambda v: v <= 1.0))
+
+
+@st.composite
+def thresholds(draw):
+    if draw(st.booleans()):
+        box = [sorted(draw(st.lists(st.integers(0, 255), min_size=2,
+                                    max_size=2))) for _ in range(3)]
+        return RgbBoxThreshold(*box[0], *box[1], *box[2])
+    r_min, r_max = sorted([draw(bounds), draw(bounds)])
+    g_min, g_max = sorted([draw(bounds), draw(bounds)])
+    return ChromaThreshold(r_min, r_max, g_min, g_max,
+                           draw(st.integers(1, 765)))
+
+
+@given(thresholds())
+@example(ChromaThreshold(1 / 3, 1 / 3, 1 / 3, 1 / 3, i_min=1))
+@example(ChromaThreshold(0.0, 1 / 3, 1 / 3, 1.0, i_min=3))
+@example(ChromaThreshold(0.5, 0.5, 0.25, 0.25, i_min=1))
+@example(RgbBoxThreshold(0, 0, 0, 0, 0, 0))
+@settings(max_examples=40, deadline=None)
+def test_verdict_table_matches_scalar_oracle(t):
+    # the table and its uncached __wrapped__ build share one field grid;
+    # this oracle shares nothing with it: a scalar verdict per word
+    expected = [naive_verdict(r, g, b, t) for r, g, b in WIDENED]
+    assert seg._verdict_table(t).tolist() == expected
