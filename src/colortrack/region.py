@@ -16,7 +16,6 @@ their cost grows with the number of runs rather than pixels.
 
 from __future__ import annotations
 
-import functools
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
@@ -33,6 +32,9 @@ _DY = (0, -1, -1, -1, 0, 1, 1, 1)
 # m-1 from the old pixel) is unset; seen from the new pixel it lies in
 # direction _BACK[m], where the next sweep starts.
 _BACK = tuple((2 * (m // 2) + 6) % 8 for m in range(8))
+# For each backtrack direction b, the CCW sweep of the 3x3 neighborhood
+# from just past b, as directions.
+_SWEEP = tuple(tuple(d % 8 for d in range(b + 1, b + 9)) for b in range(8))
 
 
 @dataclass(frozen=True)
@@ -147,17 +149,17 @@ def trace_contour(mask: PackedBinaryMask, start: tuple[int, int], *,
     grid = np.zeros((bottom - top + 3, stride), dtype=np.uint8)
     grid[1:-1, 1:-1] = bits[top:bottom + 1, left:right + 1]
     cells = grid.tobytes()
-    sweeps = _sweeps(stride)
+    ring = [dx + dy * stride for dx, dy in zip(_DX, _DY)]  # neighbour offsets
     first = cur = stride + int(x1s[top_left]) - left + 1
     # The start's eastern neighbour is outer background; the walk
     # backtracks from there.
-    sweep = sweeps[0]
+    sweep = _SWEEP[0]
     first_move = None
     steps = returns = 0
     for _ in range(4 * w * h + 1):  # the step cap: 4 steps per pixel
         # The first set pixel of the CCW sweep is the next contour pixel.
-        for offset, move in sweep:
-            if cells[cur + offset]:
+        for move in sweep:
+            if cells[cur + ring[move]]:
                 break
         else:
             break  # isolated pixel, one-pixel region
@@ -166,10 +168,10 @@ def trace_contour(mask: PackedBinaryMask, start: tuple[int, int], *,
                 first_move = move
             elif move == first_move:
                 break  # the walk state has cycled back to its initial state
-        cur += offset
+        cur += ring[move]
         steps += 1
         returns += cur == first
-        sweep = sweeps[_BACK[move]]
+        sweep = _SWEEP[_BACK[move]]
     else:
         raise RuntimeError("contour walk exceeded the step cap")
 
@@ -187,17 +189,6 @@ def trace_contour(mask: PackedBinaryMask, start: tuple[int, int], *,
         contour_length=steps + 1 - returns,
         pixel_count=pixel_count, centroid_x=centroid[0],
         centroid_y=centroid[1])
-
-
-@functools.lru_cache(maxsize=64)
-def _sweeps(stride: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """For each backtrack direction b, the CCW sweep of the 3x3
-    neighborhood from just past b: (flat offset, direction) pairs in a grid
-    of row length `stride`. Kept per stride: a tracked object's box, and so
-    its stride, changes little from frame to frame."""
-    ring = [dx + dy * stride for dx, dy in zip(_DX, _DY)]
-    return tuple(tuple((ring[d % 8], d % 8) for d in range(b + 1, b + 9))
-                 for b in range(8))
 
 
 def _component_runs(runs, sx: int, sy: int) -> set[int]:

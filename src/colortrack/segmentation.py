@@ -13,6 +13,7 @@ one lookup per pixel (Bruce, Balch & Veloso, CMVision, IROS 2000).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,7 +124,7 @@ class ChromaThreshold:
         for lo, hi in ((self.r_min, self.r_max), (self.g_min, self.g_max)):
             if not 0.0 <= lo <= hi <= 1.0:
                 raise ValueError(f"bad chroma range [{lo}, {hi}]")
-        if self.i_min < 1:
+        if not self.i_min >= 1:  # NaN fails too
             raise ValueError("i_min must be >= 1")
 
 
@@ -219,9 +220,10 @@ def _verdict_table(t) -> np.ndarray:
             passed.sum(axis=1, dtype=np.uint16)
             for passed in (r_ratio >= t.r_min, r_ratio > t.r_max,
                            g_ratio >= t.g_min, g_ratio > t.g_max))
-        # i > min(i_min, 766) - 1 iff i >= i_min, since i <= 765
+        # i > ceil(min(i_min, 766)) - 1 iff i >= i_min, since i is a whole
+        # number <= 765; i_min need not be one
         low = np.maximum(np.maximum.outer(r_low, g_low),
-                         min(t.i_min, 3 * 255 + 1) - 1)
+                         math.ceil(min(t.i_min, 3 * 255 + 1)) - 1)
         top = np.minimum.outer(r_top, g_top)
         table = (i > low[:, :, None]) & (i <= top[:, :, None])
     table = table.reshape(-1)

@@ -96,6 +96,8 @@ def test_threshold_validation():
         ChromaThreshold(0.5, 0.4, 0.0, 1.0)
     with pytest.raises(ValueError):
         ChromaThreshold(0.0, 1.0, 0.0, 1.0, i_min=0)
+    with pytest.raises(ValueError):
+        ChromaThreshold(0.0, 1.0, 0.0, 1.0, i_min=float("nan"))
 
 
 # -- packed mask addressing --------------------------------------------------
@@ -331,7 +333,8 @@ def thresholds(draw):
     r_min, r_max = sorted([draw(bounds), draw(bounds)])
     g_min, g_max = sorted([draw(bounds), draw(bounds)])
     return ChromaThreshold(r_min, r_max, g_min, g_max,
-                           draw(st.integers(1, 765)))
+                           draw(st.one_of(st.integers(1, 765),
+                                          st.floats(1.0, 800.0))))
 
 
 @given(thresholds())
@@ -339,6 +342,10 @@ def thresholds(draw):
 @example(ChromaThreshold(0.0, 1 / 3, 1 / 3, 1.0, i_min=3))
 @example(ChromaThreshold(0.5, 0.5, 0.25, 0.25, i_min=1))
 @example(RgbBoxThreshold(0, 0, 0, 0, 0, 0))
+# i_min half a step above a luminance some word has (28 and 761)
+@example(ChromaThreshold(0.0, 1.0, 0.0, 1.0, i_min=28.5))
+@example(ChromaThreshold(0.0, 1.0, 0.0, 1.0, i_min=761.5))
+@example(ChromaThreshold(0.0, 1.0, 0.0, 1.0, i_min=float("inf")))
 @settings(max_examples=40, deadline=None)
 def test_verdict_table_matches_scalar_oracle(t):
     # the table and its uncached __wrapped__ build share one field grid;
