@@ -16,8 +16,8 @@ from .plant import (CameraIntrinsics, CameraPose, PlantState, error_px,
                     plant_step, project)
 from .region import RegionDescriptor, ScanParams, locate, trace_contour
 from .segmentation import (ChromaThreshold, PackedBinaryMask, RgbBoxThreshold,
-                           chromaticity, luminance, segment_chroma,
-                           segment_rgb, threshold_from_pick)
+                           chromaticity, segment_chroma, segment_rgb,
+                           threshold_from_pick)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

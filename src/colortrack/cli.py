@@ -58,16 +58,13 @@ def _pick_color(text: str) -> tuple[int, int, int]:
         raise argparse.ArgumentTypeError(str(e)) from None
 
 
-# segment flags checked by the rule of the Scenario field of the same name.
-_SEGMENT_FLAGS = {"rgb_margin": "--rgb-margin",
-                  "chroma_margin": "--chroma-margin", "i_min": "--i-min"}
-
-
 def cmd_segment(args) -> int:
-    for name, flag in _SEGMENT_FLAGS.items():
+    # a flag is checked by the rule of the Scenario field of the same name
+    for name, value in vars(args).items():
         try:
-            harness.check_field(name, getattr(args, name))
+            harness.check_field(name, value)
         except ValueError as e:
+            flag = "--" + name.replace("_", "-")
             raise ValueError(f"{flag}: {e}") from None
     frame = _load_frame(args)
     threshold = segmentation.threshold_from_pick(
@@ -199,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="illumination sweep, both segmenters")
     _add_scenario_args(p)
     p.add_argument("--levels", type=float, nargs="+",
-                   default=[1.0, 0.8, 0.6, 0.4])
+                   default=harness.SWEEP_LEVELS)
     p.add_argument("--out", help="write the sweep table to a file")
     p.set_defaults(func=cmd_sweep)
 

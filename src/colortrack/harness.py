@@ -17,12 +17,15 @@ from .control import (ControllerState, LoopSpec, PlantModel, design_gains,
 from .imaging import Frame, Scene, Shape, render, widen
 from .plant import CameraIntrinsics, CameraPose, PlantState, error_px, plant_step
 from .region import ScanParams, locate
-from .segmentation import (ChromaThreshold, PackedBinaryMask, segment_chroma,
-                           segment_rgb, threshold_from_pick)
+from .segmentation import (CHROMA_MARGIN, RGB_MARGIN, ChromaThreshold,
+                           PackedBinaryMask, segment_chroma, segment_rgb,
+                           threshold_from_pick)
 
 DEFAULT_SAMPLE_TIME = 1.0 / 10.9  # controller runs once per acquired frame
 
 SCENARIO_KINDS = ("step_track", "clock_motion")
+
+SWEEP_LEVELS = (1.0, 0.8, 0.6, 0.4)  # illumination levels, brightest first
 
 # Scenario fields with a rule of their own: (test, what the value must be).
 _FIELD_RULES = {
@@ -90,7 +93,6 @@ class Scenario:
     kind: str = "step_track"
     duration: float = 5.0  # seconds
     sample_time: float = DEFAULT_SAMPLE_TIME
-    seed: int = 0
     intrinsics: CameraIntrinsics = field(default_factory=CameraIntrinsics)
     # Both axes default to the same first-order model; the stock controller
     # spec below requires ts <= 8*tau on each axis.
@@ -98,16 +100,16 @@ class Scenario:
     tilt_model: PlantModel = field(default_factory=lambda: PlantModel(1.0, 0.2))
     spec: LoopSpec = field(default_factory=lambda: LoopSpec(ts=1.6, po=5.0))
     motion: ObjectMotion = field(default_factory=ObjectMotion)
-    background: tuple[int, int, int] = (16, 16, 16)
+    background: tuple[int, int, int] = Scene.background
     object_color: tuple[int, int, int] = (230, 120, 30)
     object_kind: str = "disk"
     object_size: float = 4.0  # angular diameter, degrees
     illumination: float = 1.0
     mode: str = "chroma"  # segmentation space; chroma is the reliable default
-    rgb_margin: int = 24
-    chroma_margin: float = 0.05
-    i_min: int = 30
-    min_width: int = 3
+    rgb_margin: int = RGB_MARGIN
+    chroma_margin: float = CHROMA_MARGIN
+    i_min: int = ChromaThreshold.i_min
+    min_width: int = ScanParams.min_width
     u_min: float = -45.0
     u_max: float = 45.0
 
@@ -117,6 +119,9 @@ class Scenario:
         for name in _FIELD_RULES:
             check_field(name, getattr(self, name))
         check_saturation(self.u_min, self.u_max)
+        if not math.isfinite(self.duration / self.sample_time):
+            raise ValueError("duration must be a finite number of frames "
+                             "of sample_time")
         if self.n_frames < 1:
             raise ValueError("duration must round to at least one frame "
                              "of sample_time")
@@ -195,20 +200,13 @@ class TrajectoryRecord(Sequence):
     def __len__(self) -> int:
         return len(self._values) // _ROW_WIDTH
 
-    def _start(self, i: int) -> int:
+    def __getitem__(self, i: int) -> TrajectoryRow:
         n = len(self)
         i = i + n if i < 0 else i
         if not 0 <= i < n:
             raise IndexError("trajectory row index out of range")
-        return i * _ROW_WIDTH
-
-    def __getitem__(self, i: int) -> TrajectoryRow:
-        k = self._start(i)
+        k = i * _ROW_WIDTH
         return _row_from(self._values[k:k + _ROW_WIDTH])
-
-    def __setitem__(self, i: int, row: TrajectoryRow) -> None:
-        k = self._start(i)
-        self._values[k:k + _ROW_WIDTH] = array("d", _row_values(row))
 
     def __iter__(self):
         v = self._values
@@ -259,7 +257,7 @@ def run_scenario(s: Scenario) -> tuple[TrajectoryRecord, TrackingMetrics]:
 
     When the object is not found the controller holds its last command and
     the frame is flagged lost. Everything is deterministic for a fixed
-    scenario and seed.
+    scenario.
     """
     intr = s.intrinsics
     threshold = s.picked_threshold()
@@ -439,7 +437,7 @@ class SweepResult:
 
 
 def run_illumination_sweep(s: Scenario,
-                           levels=(1.0, 0.8, 0.6, 0.4)) -> SweepResult:
+                           levels=SWEEP_LEVELS) -> SweepResult:
     """Render the scene at several light levels and count surviving pixels.
 
     Both thresholds are picked once at the first (brightest) level, then
@@ -457,29 +455,3 @@ def run_illumination_sweep(s: Scenario,
         chroma_counts.append(segment_chroma(frame, chroma_t).count())
         rgb_counts.append(segment_rgb(frame, rgb_t).count())
     return SweepResult(tuple(levels), tuple(chroma_counts), tuple(rgb_counts))
-
-
-def run_multi_object(s: Scenario, objects: list[Shape]):
-    """Detect each of several similar-hue objects via its own picked threshold.
-
-    Returns, per object, the located descriptor and the object's true pixel
-    bounding box from an exact coverage render.
-    """
-    scene = Scene(s.background, tuple(objects), s.illumination)
-    pose = CameraPose()
-    frame = render(scene, pose, s.intrinsics)
-    results = []
-    for shape in objects:
-        threshold = replace(s, object_color=shape.color).picked_threshold()
-        mask = s.segment(frame, threshold)
-        reg = locate(mask, ScanParams(s.min_width))
-        marker = Shape(shape.kind, shape.az, shape.el, shape.size,
-                       (255, 255, 255))
-        solo = render(Scene((0, 0, 0), (marker,), 1.0), pose, s.intrinsics)
-        covered = np.argwhere(solo.pixels != 0)
-        bbox = None
-        if covered.size:
-            bbox = (int(covered[:, 0].min()), int(covered[:, 0].max()),
-                    int(covered[:, 1].min()), int(covered[:, 1].max()))
-        results.append((shape, reg, bbox))
-    return results

@@ -52,11 +52,6 @@ class RegionDescriptor:
     centroid_x: Optional[float] = None
     centroid_y: Optional[float] = None
 
-    def csv_row(self) -> str:
-        return "%d,%d,%d,%d,%d,%d,%d" % (
-            self.top, self.bottom, self.left, self.right,
-            self.center_x, self.center_y, self.contour_length)
-
     def report_line(self) -> str:
         return ("region: x %d..%d, y %d..%d, center (%d, %d), contour %d px"
                 % (self.left, self.right, self.top, self.bottom,

@@ -22,6 +22,10 @@ from .imaging import Frame, widen_channels
 
 WORD_BITS = 32
 
+# Default margins around a picked color, for threshold_from_pick and Scenario.
+RGB_MARGIN = 24
+CHROMA_MARGIN = 0.05
+
 
 @dataclass
 class PackedBinaryMask:
@@ -134,11 +138,6 @@ class ChromaPoint:
     g: float
 
 
-def luminance(r: int, g: int, b: int) -> int:
-    """Sum of the widened channels, 0..765."""
-    return int(r) + int(g) + int(b)
-
-
 def chromaticity(r, g, b) -> ChromaPoint | None:
     """Normalized (r, g) fractions; None when the pixel is pure black (I = 0).
 
@@ -152,8 +151,9 @@ def chromaticity(r, g, b) -> ChromaPoint | None:
 
 
 def threshold_from_pick(color: tuple[int, int, int], mode: str, *,
-                        rgb_margin: int = 24, chroma_margin: float = 0.05,
-                        i_min: int = 30):
+                        rgb_margin: int = RGB_MARGIN,
+                        chroma_margin: float = CHROMA_MARGIN,
+                        i_min: int = ChromaThreshold.i_min):
     """Derive a threshold from a single picked pixel with symmetric margins."""
     r, g, b = color
     if mode == "rgb":
@@ -231,20 +231,16 @@ def _verdict_table(t) -> np.ndarray:
     return table
 
 
-def segment_rgb(frame: Frame, t: RgbBoxThreshold) -> PackedBinaryMask:
-    """Bit set iff all three widened channels fall inside their ranges.
+def segment_rgb(frame: Frame, t) -> PackedBinaryMask:
+    """Bit set iff the pixel passes t, an RGB box or a chroma threshold.
 
     One lookup per pixel into the threshold's verdict table.
     """
     return PackedBinaryMask.from_bool(np.take(_verdict_table(t), frame.pixels))
 
 
-def segment_chroma(frame: Frame, t: ChromaThreshold) -> PackedBinaryMask:
-    """Bit set iff I >= i_min and (r, g) chromaticity falls inside the box.
-
-    One lookup per pixel into the threshold's verdict table.
-    """
-    return PackedBinaryMask.from_bool(np.take(_verdict_table(t), frame.pixels))
+# One body, two names: the benchmark's tracer patches each name on its own.
+segment_chroma = segment_rgb
 
 
 def write_pbm(mask: PackedBinaryMask, path) -> None:

@@ -236,7 +236,7 @@ def test_criterion_8_clock_motion_statistics():
 
 def test_criterion_9_track_determinism(tmp_path, capsys):
     cfg = tmp_path / "det.cfg"
-    cfg.write_text("kind = step_track\nduration = 2.0\nseed = 7\n"
+    cfg.write_text("kind = step_track\nduration = 2.0\n"
                    "motion = fixed\nmotion_az = 15\nmotion_el = -10\n")
     payloads = []
     for name in ("run1.csv", "run2.csv"):

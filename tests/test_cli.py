@@ -150,6 +150,18 @@ def test_scenario_without_frames_exit_code(capsys, tmp_path):
     assert not csv.exists()
 
 
+@pytest.mark.parametrize("duration, sample_time", [("1e308", "1e-10"),
+                                                   ("1e300", "1e-300")])
+def test_scenario_with_infinite_frame_count_exit_code(capsys, duration,
+                                                      sample_time):
+    # duration / sample_time overflows to inf, so there is no frame count
+    code, out, err = run(capsys, "track", "--set", f"duration={duration}",
+                         "--set", f"sample_time={sample_time}")
+    assert code == 1
+    assert err.startswith("error: duration ")
+    assert out == ""
+
+
 @pytest.mark.parametrize("item", ["illumination=-1", "rgb_margin=-5",
                                   "chroma_margin=-0.1", "background=300,0,0",
                                   "object_size=inf", "object_size=nan",
@@ -194,7 +206,8 @@ def test_segment_pick_out_of_range_exit_code(capsys, tmp_path):
 @pytest.mark.parametrize("flag, value", [("--rgb-margin", "-5"),
                                          ("--chroma-margin", "-0.1"),
                                          ("--chroma-margin", "nan"),
-                                         ("--i-min", "0")])
+                                         ("--i-min", "0"),
+                                         ("--min-width", "0")])
 def test_segment_bad_threshold_flag_names_the_flag(capsys, tmp_path, flag,
                                                   value):
     img = tmp_path / "black.ppm"

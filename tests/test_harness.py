@@ -10,9 +10,8 @@ from colortrack import config as cfgmod
 from colortrack import harness, segmentation
 from colortrack.harness import (ObjectMotion, Scenario, TrajectoryRecord,
                                 TrajectoryRow, circle_stats, default_band,
-                                run_illumination_sweep, run_multi_object,
-                                run_scenario, settling_time)
-from colortrack.imaging import Shape
+                                run_illumination_sweep, run_scenario,
+                                settling_time)
 
 
 def synthetic_record(ts, exs, eys=None):
@@ -108,8 +107,10 @@ def test_default_band_floor():
 
 
 def test_settling_lost_frames_count_as_outside():
-    rec = synthetic_record([0.0, 0.1, 0.2], [0.0, math.nan, 0.0])
-    rec[1] = TrajectoryRow(0.1, math.nan, math.nan, 0, 0, 0, 0, -1, -1, False)
+    rec = TrajectoryRecord(
+        [TrajectoryRow(0.0, 0.0, 0.0, 0, 0, 0, 0, 160, 120, True),
+         TrajectoryRow(0.1, math.nan, math.nan, 0, 0, 0, 0, -1, -1, False),
+         TrajectoryRow(0.2, 0.0, 0.0, 0, 0, 0, 0, 160, 120, True)])
     assert settling_time(rec, band=3.0) == pytest.approx(0.2)
 
 
@@ -192,7 +193,7 @@ def test_commands_never_exceed_saturation():
 
 
 def test_scenario_deterministic():
-    s = Scenario(kind="step_track", duration=2.0, seed=5,
+    s = Scenario(kind="step_track", duration=2.0,
                  motion=ObjectMotion(az=12.0, el=-8.0))
     rec1, m1 = run_scenario(s)
     rec2, m2 = run_scenario(s)
@@ -242,20 +243,6 @@ def test_illumination_sweep_retention():
     assert rgb[-1] < 0.5
 
 
-def test_multi_object_detection():
-    objects = [Shape("rectangle", -10.0, -7.0, 5.0, (220, 40, 40)),
-               Shape("disk", 10.0, -7.0, 2.5, (230, 210, 40)),
-               Shape("disk", -10.0, 7.0, 6.0, (230, 120, 30)),
-               Shape("rectangle", 10.0, 7.0, 4.0, (235, 220, 150))]
-    results = run_multi_object(Scenario(), objects)
-    assert len(results) == 4
-    for shape, reg, bbox in results:
-        assert reg is not None and bbox is not None
-        y0, y1, x0, x1 = bbox
-        assert y0 <= reg.center_y <= y1
-        assert x0 <= reg.center_x <= x1
-
-
 # -- persistence -------------------------------------------------------------
 
 def test_csv_empty_record(tmp_path):
@@ -279,7 +266,7 @@ def test_csv_round_trip(tmp_path):
 
 
 def test_csv_byte_identical_across_runs(tmp_path):
-    s = Scenario(kind="step_track", duration=1.5, seed=9,
+    s = Scenario(kind="step_track", duration=1.5,
                  motion=ObjectMotion(az=15.0, el=-10.0))
     paths = []
     for name in ("a.csv", "b.csv"):
@@ -315,8 +302,6 @@ def test_record_is_a_sequence_of_rows():
     for bad in (2, -3):
         with pytest.raises(IndexError):
             rec[bad]
-    rec[0] = LOST
-    assert repr(list(rec)) == repr([LOST, LOST])
     assert not hasattr(rec, "rows") and not hasattr(rec, "__dict__")
 
 
@@ -334,8 +319,8 @@ def test_record_column_matches_rows():
 def test_record_lost_rows_compare_equal():
     a, b = TrajectoryRecord([LOST] * 3), TrajectoryRecord([LOST] * 3)
     assert a == b and repr(a) == repr(b)
-    b[1] = replace(LOST, ux=0.75)
-    assert a != b and repr(a) != repr(b)
+    c = TrajectoryRecord([LOST, replace(LOST, ux=0.75), LOST])
+    assert a != c and repr(a) != repr(c)
 
 
 ROW_VALUES = st.sampled_from([0.0, -0.0, 1.0, 0.1, 1 / 3, math.nan,
@@ -392,7 +377,6 @@ motion = circular
 motion_radius = 10.9
 motion_period = 3.82
 ts = 1.5
-seed = 4
 """)
     s = cfgmod.scenario_from_config(cfgmod.parse_config(p))
     assert s.kind == "clock_motion"
@@ -401,7 +385,6 @@ seed = 4
     assert s.motion.kind == "circular"
     assert s.motion.radius == 10.9
     assert s.spec.ts == 1.5
-    assert s.seed == 4
 
 
 def test_config_rejects_unknown_key():
@@ -416,9 +399,10 @@ def test_config_rejects_bad_line(tmp_path):
         cfgmod.parse_config(p)
 
 
-# The 32 keys accepted before the key table was derived from Scenario.
+# The 32 keys accepted before the key table was derived from Scenario, less
+# `seed`, which nothing consumed.
 CONFIG_KEYS = [
-    "kind", "duration", "sample_time", "seed", "width", "height", "ppd_x",
+    "kind", "duration", "sample_time", "width", "height", "ppd_x",
     "ppd_y", "pan_k", "pan_tau", "tilt_k", "tilt_tau", "ts", "po", "motion",
     "motion_az", "motion_el", "motion_radius", "motion_period",
     "motion_phase", "object_kind", "object_size", "illumination", "mode",
@@ -431,7 +415,6 @@ CONFIG_CASES = {
     "kind": ("clock_motion", ("kind",), "clock_motion"),
     "duration": ("2", ("duration",), 2.0),
     "sample_time": ("0.05", ("sample_time",), 0.05),
-    "seed": ("7", ("seed",), 7),
     "width": ("64", ("intrinsics", "width"), 64),
     "height": ("48", ("intrinsics", "height"), 48),
     "ppd_x": ("6.5", ("intrinsics", "ppd_x"), 6.5),

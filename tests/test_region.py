@@ -484,5 +484,4 @@ def test_locate_deterministic():
 def test_descriptor_serialization():
     reg = RegionDescriptor(top=1, bottom=5, left=2, right=8,
                            center_x=5, center_y=3, contour_length=12)
-    assert reg.csv_row() == "1,5,2,8,5,3,12"
     assert "center (5, 3)" in reg.report_line()

@@ -10,7 +10,7 @@ from colortrack import segmentation as seg
 from colortrack.harness import Scenario
 from colortrack.imaging import Frame, widen
 from colortrack.segmentation import (ChromaThreshold, PackedBinaryMask,
-                                     RgbBoxThreshold, chromaticity, luminance,
+                                     RgbBoxThreshold, chromaticity,
                                      mask_get, mask_set, segment_chroma,
                                      segment_rgb, threshold_from_pick)
 
@@ -39,12 +39,6 @@ def naive_bits(frame, threshold):
 
 def random_frame(rng, w=32, h=32):
     return Frame(w, h, rng.integers(0, 0x10000, (h, w)).astype(np.uint16))
-
-
-def test_luminance_examples():
-    assert luminance(0, 0, 0) == 0
-    assert luminance(255, 255, 255) == 765
-    assert luminance(100, 50, 50) == 200
 
 
 def test_chromaticity_examples():
