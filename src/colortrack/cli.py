@@ -58,22 +58,24 @@ def _pick_color(text: str) -> tuple[int, int, int]:
         raise argparse.ArgumentTypeError(str(e)) from None
 
 
+def _check_flag(flag: str, check, *args, **kwargs):
+    """check(*args, **kwargs), naming the flag in any ValueError it raises."""
+    try:
+        return check(*args, **kwargs)
+    except ValueError as e:
+        raise ValueError(f"{flag}: {e}") from None
+
+
 def cmd_segment(args) -> int:
     # a flag is checked by the rule of the Scenario field of the same name
     for name, value in vars(args).items():
-        try:
-            harness.check_field(name, value)
-        except ValueError as e:
-            flag = "--" + name.replace("_", "-")
-            raise ValueError(f"{flag}: {e}") from None
+        _check_flag("--" + name.replace("_", "-"), harness.check_field,
+                    name, value)
     frame = _load_frame(args)
     threshold = segmentation.threshold_from_pick(
         args.pick, args.mode, rgb_margin=args.rgb_margin,
         chroma_margin=args.chroma_margin, i_min=args.i_min)
-    if args.mode == "chroma":
-        mask = segmentation.segment_chroma(frame, threshold)
-    else:
-        mask = segmentation.segment_rgb(frame, threshold)
+    mask = segmentation.segment_rgb(frame, threshold)
     if args.mask_out:
         segmentation.write_pbm(mask, args.mask_out)
     if args.words_out:
@@ -106,10 +108,11 @@ def cmd_track(args) -> int:
 def cmd_clock(args) -> int:
     scenario = _scenario_from_args(args)
     radius_deg = args.radius_px / scenario.intrinsics.ppd_x
-    scenario = replace(
-        scenario, kind="clock_motion",
-        motion=replace(scenario.motion, kind="circular", radius=radius_deg,
-                       period=args.period))
+    motion = _check_flag("--radius-px", replace, scenario.motion,
+                         radius=radius_deg)
+    motion = _check_flag("--period", replace, motion, kind="circular",
+                         period=args.period)
+    scenario = replace(scenario, kind="clock_motion", motion=motion)
     metrics = _run_and_save(scenario, args)
     print(f"mean_radius_px: {metrics.mean_radius:.6g}")
     print(f"radius_std_px: {metrics.radius_std:.6g}")
@@ -119,6 +122,8 @@ def cmd_clock(args) -> int:
 
 def cmd_sweep(args) -> int:
     scenario = _scenario_from_args(args)
+    for level in args.levels:
+        _check_flag("--levels", harness.check_field, "illumination", level)
     result = run_illumination_sweep(scenario, tuple(args.levels))
     lines = result.report_lines()
     for line in lines:
@@ -167,7 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--height", type=int, help="raw input height")
     p.add_argument("--pick", type=_pick_color, required=True,
                    help="picked color R,G,B (8-bit)")
-    p.add_argument("--mode", choices=("rgb", "chroma"), default=Scenario.mode)
+    p.add_argument("--mode", choices=segmentation.THRESHOLD_MODES,
+                   default=Scenario.mode)
     p.add_argument("--rgb-margin", type=int, default=Scenario.rgb_margin)
     p.add_argument("--chroma-margin", type=float,
                    default=Scenario.chroma_margin)

@@ -14,11 +14,12 @@ import numpy as np
 from . import imaging
 from .control import (ControllerState, LoopSpec, PlantModel, design_gains,
                       discretize, pi_step)
-from .imaging import Frame, Scene, Shape, render, widen
+from .imaging import SHAPE_KINDS, Scene, Shape, render, widen
 from .plant import CameraIntrinsics, CameraPose, PlantState, error_px, plant_step
 from .region import ScanParams, locate
-from .segmentation import (CHROMA_MARGIN, RGB_MARGIN, ChromaThreshold,
-                           PackedBinaryMask, segment_chroma, segment_rgb,
+# segment_chroma is imported only for benchmark/tracer.py PATCHES to wrap.
+from .segmentation import (CHROMA_MARGIN, RGB_MARGIN, THRESHOLD_MODES,
+                           ChromaThreshold, segment_chroma, segment_rgb,
                            threshold_from_pick)
 
 DEFAULT_SAMPLE_TIME = 1.0 / 10.9  # controller runs once per acquired frame
@@ -31,8 +32,12 @@ SWEEP_LEVELS = (1.0, 0.8, 0.6, 0.4)  # illumination levels, brightest first
 _FIELD_RULES = {
     "duration": (lambda v: math.isfinite(v) and v > 0, "finite and > 0"),
     "sample_time": (lambda v: math.isfinite(v) and v > 0, "finite and > 0"),
+    "object_kind": (lambda v: v in SHAPE_KINDS,
+                    "one of " + ", ".join(SHAPE_KINDS)),
     "object_size": (lambda v: math.isfinite(v) and v > 0, "finite and > 0"),
     "illumination": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+    "mode": (lambda v: v in THRESHOLD_MODES,
+             "one of " + ", ".join(THRESHOLD_MODES)),
     "rgb_margin": (lambda v: v >= 0, ">= 0"),
     "chroma_margin": (lambda v: v >= 0, ">= 0"),
     "i_min": (lambda v: v >= 1, ">= 1"),
@@ -152,11 +157,6 @@ class Scenario:
         return threshold_from_pick(pick, mode, rgb_margin=self.rgb_margin,
                                    chroma_margin=self.chroma_margin,
                                    i_min=self.i_min)
-
-    def segment(self, frame: Frame, threshold) -> PackedBinaryMask:
-        if isinstance(threshold, ChromaThreshold):
-            return segment_chroma(frame, threshold)
-        return segment_rgb(frame, threshold)
 
 
 @dataclass(frozen=True, slots=True)
@@ -289,7 +289,7 @@ def run_scenario(s: Scenario) -> tuple[TrajectoryRecord, TrackingMetrics]:
         t = k * s.sample_time
         pose = CameraPose(pan.angle, tilt.angle)
         frame = render(s.scene_at(t), pose, intr)
-        mask = s.segment(frame, threshold)
+        mask = segment_rgb(frame, threshold)
         reg = locate(mask, params)
         if reg is not None:
             ex, ey = error_px(reg, intr)
@@ -452,6 +452,6 @@ def run_illumination_sweep(s: Scenario,
     for lv in levels:
         frame = render(replace(s, illumination=lv).scene_at(0.0),
                        pose, s.intrinsics)
-        chroma_counts.append(segment_chroma(frame, chroma_t).count())
+        chroma_counts.append(segment_rgb(frame, chroma_t).count())
         rgb_counts.append(segment_rgb(frame, rgb_t).count())
     return SweepResult(tuple(levels), tuple(chroma_counts), tuple(rgb_counts))

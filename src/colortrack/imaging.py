@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,18 +89,21 @@ class Frame:
         return widen_channels(self.pixels)
 
 
+SHAPE_KINDS = ("disk", "triangle", "rectangle")
+
+
 @dataclass(frozen=True)
 class Shape:
     """One colored shape in a synthetic scene, placed in angular coordinates."""
 
-    kind: str  # disk | triangle | rectangle
+    kind: str  # one of SHAPE_KINDS
     az: float  # degrees
     el: float  # degrees
     size: float  # angular diameter, degrees
     color: tuple[int, int, int]  # 8-bit RGB
 
     def __post_init__(self):
-        if self.kind not in ("disk", "triangle", "rectangle"):
+        if self.kind not in SHAPE_KINDS:
             raise ValueError(f"unknown shape kind: {self.kind!r}")
         if not all(map(math.isfinite, (self.az, self.el, self.size))):
             raise ValueError("shape az, el and size must be finite")
@@ -183,46 +187,40 @@ def write_ppm(frame: Frame, path) -> None:
         f.write(frame.widened().tobytes())
 
 
-def _read_ppm_token(f) -> bytes:
-    # Tokens are separated by whitespace; '#' starts a comment to end of line.
-    tok = b""
-    while True:
-        c = f.read(1)
-        if not c:
-            if tok:
-                return tok
-            raise ValueError("malformed PPM header: unexpected end of file")
-        if c == b"#":
-            while c and c != b"\n":
-                c = f.read(1)
-            continue
-        if c.isspace():
-            if tok:
-                return tok
-            continue
-        tok += c
+# The Netpbm P6 header: magic, width, height and maxval in ASCII decimal,
+# separated by whitespace or '#' comments that run to the end of a line,
+# then one whitespace byte before the raster.
+_PPM_SEP = rb"(?:\s|#[^\r\n]*[\r\n])+"
+_PPM_HEADER = re.compile(rb"P6" + (_PPM_SEP + rb"(\d+)") * 3 + rb"\s")
 
 
 def read_ppm(path) -> Frame:
-    """Read a binary PPM (P6, maxval 255) and narrow it to an RGB565 frame."""
+    """Read a binary PPM (P6, maxval 255) and narrow it to an RGB565 frame.
+
+    The file is read once, and the payload size the header claims is checked
+    against the bytes read before any pixel array is made.
+    """
     with open(path, "rb") as f:
-        if _read_ppm_token(f) != b"P6":
-            raise ValueError("malformed PPM header: not a P6 file")
-        try:
-            width = int(_read_ppm_token(f))
-            height = int(_read_ppm_token(f))
-            maxval = int(_read_ppm_token(f))
-        except ValueError as e:
-            raise ValueError(f"malformed PPM header: {e}") from None
-        if width <= 0 or height <= 0:
-            raise ValueError(f"bad PPM dimensions {width}x{height}")
-        if maxval != 255:
-            raise ValueError(f"unsupported PPM maxval {maxval} (need 255)")
-        payload = f.read(width * height * 3)
-        if len(payload) != width * height * 3:
-            raise ValueError("truncated PPM payload")
-    rgb = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
-    return Frame(width, height, narrow_channels(rgb))
+        data = f.read()
+    if not data.startswith(b"P6"):
+        raise ValueError("malformed PPM header: not a P6 file")
+    m = _PPM_HEADER.match(data)
+    if m is None:
+        raise ValueError("malformed PPM header: expected width, height and "
+                         "maxval")
+    try:
+        width, height, maxval = map(int, m.groups())
+    except ValueError as e:  # more digits than int() converts
+        raise ValueError(f"malformed PPM header: {e}") from None
+    if width <= 0 or height <= 0:
+        raise ValueError(f"bad PPM dimensions {width}x{height}")
+    if maxval != 255:
+        raise ValueError(f"unsupported PPM maxval {maxval} (need 255)")
+    count = width * height * 3
+    if len(data) - m.end() < count:
+        raise ValueError("truncated PPM payload")
+    rgb = np.frombuffer(data, np.uint8, count, m.end())
+    return Frame(width, height, narrow_channels(rgb.reshape(height, width, 3)))
 
 
 def write_rgb565(frame: Frame, path) -> None:

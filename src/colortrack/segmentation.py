@@ -26,6 +26,8 @@ WORD_BITS = 32
 RGB_MARGIN = 24
 CHROMA_MARGIN = 0.05
 
+THRESHOLD_MODES = ("rgb", "chroma")  # the spaces threshold_from_pick accepts
+
 
 @dataclass
 class PackedBinaryMask:
@@ -155,6 +157,8 @@ def threshold_from_pick(color: tuple[int, int, int], mode: str, *,
                         chroma_margin: float = CHROMA_MARGIN,
                         i_min: int = ChromaThreshold.i_min):
     """Derive a threshold from a single picked pixel with symmetric margins."""
+    if mode not in THRESHOLD_MODES:
+        raise ValueError(f"unknown threshold mode: {mode!r}")
     r, g, b = color
     if mode == "rgb":
         return RgbBoxThreshold(
@@ -162,16 +166,14 @@ def threshold_from_pick(color: tuple[int, int, int], mode: str, *,
             max(g - rgb_margin, 0), min(g + rgb_margin, 255),
             max(b - rgb_margin, 0), min(b + rgb_margin, 255),
         )
-    if mode == "chroma":
-        cp = chromaticity(r, g, b)
-        if cp is None:
-            raise ValueError("cannot derive a chroma threshold from a black pick")
-        return ChromaThreshold(
-            max(cp.r - chroma_margin, 0.0), min(cp.r + chroma_margin, 1.0),
-            max(cp.g - chroma_margin, 0.0), min(cp.g + chroma_margin, 1.0),
-            i_min,
-        )
-    raise ValueError(f"unknown threshold mode: {mode!r}")
+    cp = chromaticity(r, g, b)
+    if cp is None:
+        raise ValueError("cannot derive a chroma threshold from a black pick")
+    return ChromaThreshold(
+        max(cp.r - chroma_margin, 0.0), min(cp.r + chroma_margin, 1.0),
+        max(cp.g - chroma_margin, 0.0), min(cp.g + chroma_margin, 1.0),
+        i_min,
+    )
 
 
 @functools.cache

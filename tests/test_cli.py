@@ -171,12 +171,44 @@ def test_scenario_with_infinite_frame_count_exit_code(capsys, duration,
                                   "ppd_x=inf", "ppd_x=nan", "ppd_y=0",
                                   "ts=nan", "ts=inf", "pan_tau=inf",
                                   "tilt_k=nan", "u_max=nan", "u_min=nan",
-                                  "u_min=5", "u_max=-1", "min_width=0"])
+                                  "u_min=5", "u_max=-1", "min_width=0",
+                                  "object_kind=star", "mode=foo"])
 def test_out_of_range_config_value_exit_code(capsys, item):
     key = item.partition("=")[0]
     code, _, err = run(capsys, "track", "--set", item)
     assert code == 1
     assert err.startswith(f"error: config key '{key}': ")
+
+
+@pytest.mark.parametrize("item", ["illumination=0", "illumination=0.02",
+                                  "object_color=0,0,0"])
+def test_black_pick_exit_code(capsys, tmp_path, item):
+    # the object renders black, so the chroma pick has no chromaticity
+    csv = tmp_path / "run.csv"
+    code, out, err = run(capsys, "track", "--set", item, "--csv", str(csv))
+    assert code == 1
+    assert err == ("error: cannot derive a chroma threshold from a black "
+                   "pick\n")
+    assert out == ""
+    assert not csv.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["clock", "--period", "0"], "--period"),
+    (["clock", "--period", "inf"], "--period"),
+    (["clock", "--radius-px", "nan"], "--radius-px"),
+    (["sweep", "--levels", "1.5"], "--levels"),
+    (["sweep", "--levels", "1", "-0.1"], "--levels"),
+], ids=["period-0", "period-inf", "radius-nan", "levels-1.5",
+        "levels-negative"])
+def test_clock_and_sweep_bad_flag_names_the_flag(capsys, tmp_path, argv, flag):
+    out_file = tmp_path / "out"
+    out_flag = "--csv" if argv[0] == "clock" else "--out"
+    code, out, err = run(capsys, *argv, out_flag, str(out_file))
+    assert code == 1
+    assert err.startswith(f"error: {flag}: ")
+    assert out == ""
+    assert not out_file.exists()
 
 
 @pytest.mark.parametrize("items, keys", [

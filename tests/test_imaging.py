@@ -277,6 +277,110 @@ def test_ppm_bad_maxval(tmp_path):
         imaging.read_ppm(p)
 
 
+@pytest.mark.parametrize("header, match", [
+    (b" P6\n2 1\n255\n", "malformed PPM header"),
+    (b"P6\n2 +1\n255\n", "malformed PPM header"),
+    (b"P6\n-2 1\n255\n", "malformed PPM header"),
+    (b"P6\n2 1\n2#c\n55\n", "malformed PPM header"),
+    (b"P6\n2 1\n255#c\n", "malformed PPM header"),
+    (b"P6\n" + b"1" * 5000 + b" 1\n255\n", "malformed PPM header"),
+    (b"P6#c\n2 1\n255\n", None),
+    (b"P6\n2#c\r1\n255\n", None),
+    (b"P6\t2 \r\n 1\v255\f", None),
+], ids=["leading-space", "sign", "negative", "comment-in-number",
+        "comment-after-maxval", "5000-digits", "comment-after-magic",
+        "comment-ends-at-cr", "every-whitespace"])
+def test_ppm_header_grammar(tmp_path, header, match):
+    p = tmp_path / "h.ppm"
+    p.write_bytes(header + bytes(range(6)))
+    if match is None:
+        frame = imaging.read_ppm(p)
+        assert (frame.width, frame.height) == (2, 1)
+        assert frame.pixels.tolist() == [[narrow(0, 1, 2), narrow(3, 4, 5)]]
+    else:
+        with pytest.raises(ValueError, match=match):
+            imaging.read_ppm(p)
+
+
+@pytest.fixture(scope="module")
+def input_file(tmp_path_factory):
+    # module-scoped, so hypothesis examples may share it: each rewrites it
+    return tmp_path_factory.mktemp("malformed") / "input"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.binary(max_size=64),
+                 st.binary(max_size=64).map(lambda b: b"P6" + b),
+                 st.lists(st.sampled_from([b"P6", b" ", b"\n", b"\r", b"#",
+                                           b"x", b"-", b"0", b"1", b"3",
+                                           b"255", b"\xff"]),
+                          max_size=16).map(b"".join)))
+def test_ppm_arbitrary_bytes_raise_only_value_error(input_file, data):
+    input_file.write_bytes(data)
+    try:
+        frame = imaging.read_ppm(input_file)
+    except ValueError:
+        return
+    assert frame.pixels.shape == (frame.height, frame.width)
+
+
+@settings(max_examples=300, deadline=None)
+@given(width=st.integers(-3, 40), height=st.integers(-3, 40),
+       extra=st.integers(-40, 40), seed=st.integers(0, 2**32 - 1))
+def test_ppm_payload_shorter_or_longer_than_header(input_file, width, height,
+                                                   extra, seed):
+    need = max(width, 0) * max(height, 0) * 3
+    payload = np.random.default_rng(seed).integers(
+        0, 256, max(need + extra, 0), dtype=np.uint8).tobytes()
+    input_file.write_bytes(b"P6\n%d %d\n255\n" % (width, height) + payload)
+    if width < 0 or height < 0:
+        match = "malformed PPM header"
+    elif width == 0 or height == 0:
+        match = "bad PPM dimensions"
+    elif len(payload) < need:
+        match = "truncated PPM payload"
+    else:
+        frame = imaging.read_ppm(input_file)
+        rgb = np.frombuffer(payload[:need], np.uint8).reshape(height, width, 3)
+        assert np.array_equal(frame.pixels, imaging.narrow_channels(rgb))
+        return
+    with pytest.raises(ValueError, match=match):
+        imaging.read_ppm(input_file)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.binary(max_size=200), width=st.integers(1, 64),
+       height=st.integers(1, 64))
+def test_rgb565_arbitrary_bytes_raise_only_value_error(input_file, data, width,
+                                                       height):
+    input_file.write_bytes(data)
+    try:
+        frame = imaging.read_rgb565(input_file, width, height)
+    except ValueError:
+        assert len(data) != width * height * 2
+        return
+    assert frame.pixels.tobytes() == data
+
+
+@pytest.mark.parametrize("header, match", [
+    (b"P6\n4000 4000\n255\n", "truncated PPM payload"),
+    (b"P6 4000 4000 255", "malformed PPM header"),
+], ids=["header-only", "no-raster-delimiter"])
+def test_ppm_claimed_size_is_checked_before_allocating(tmp_path, header,
+                                                       match):
+    import tracemalloc
+    p = tmp_path / "huge.ppm"
+    p.write_bytes(header)  # claims a 48 MB raster
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=match):
+            imaging.read_ppm(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_rgb565_round_trip(tmp_path):
     rng = np.random.default_rng(3)
     frame = Frame(8, 5, rng.integers(0, 0x10000, (5, 8)).astype(np.uint16))

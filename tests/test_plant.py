@@ -11,6 +11,7 @@ from colortrack.imaging import render
 from colortrack.plant import (CameraIntrinsics, CameraPose, PlantState,
                               error_px, plant_step, project)
 from colortrack.region import RegionDescriptor, locate
+from colortrack.segmentation import segment_rgb
 
 INTR = CameraIntrinsics()
 MODEL = PlantModel(k=2.0, tau=0.3)
@@ -98,7 +99,7 @@ def test_error_px_examples():
 
 def detect_center(scenario, pose):
     frame = render(scenario.scene_at(0.0), pose, scenario.intrinsics)
-    mask = scenario.segment(frame, scenario.picked_threshold())
+    mask = segment_rgb(frame, scenario.picked_threshold())
     return locate(mask)
 
 

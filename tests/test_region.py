@@ -9,7 +9,7 @@ from colortrack.plant import CameraPose
 from colortrack import region
 from colortrack.region import (RegionDescriptor, ScanParams, _runs,
                                find_initial_run, locate, trace_contour)
-from colortrack.segmentation import PackedBinaryMask
+from colortrack.segmentation import PackedBinaryMask, segment_rgb
 
 
 def mask_from(bits):
@@ -407,7 +407,7 @@ def test_fill_diagonal_chain_joins_at_corners(slope):
 def test_locate_centered_disk():
     s = Scenario()
     frame = render(s.scene_at(0.0), CameraPose(), s.intrinsics)
-    mask = s.segment(frame, s.picked_threshold())
+    mask = segment_rgb(frame, s.picked_threshold())
     reg = locate(mask)
     assert abs(reg.center_x - 160) <= 1
     assert abs(reg.center_y - 120) <= 1
