@@ -11,9 +11,6 @@ from colortrack.cli import main
 
 sys.exit(main([
     "clock",
-    "--radius-px", "87.57",
-    "--period", "3.82",
-    "--set", "duration=7.64",
     "--csv", "clock.csv",
     "--report", "clock_report.txt",
 ]))

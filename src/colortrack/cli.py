@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from . import config as cfgmod
 from . import harness, imaging, segmentation
@@ -14,7 +13,7 @@ from .plant import CameraPose
 from .region import ScanParams, locate
 
 
-def _scenario_from_args(args) -> Scenario:
+def _scenario_from_args(args, base: Scenario = Scenario()) -> Scenario:
     values = {}
     if args.config:
         values.update(cfgmod.parse_config(args.config))
@@ -23,7 +22,7 @@ def _scenario_from_args(args) -> Scenario:
             raise ValueError(f"--set expects key=value, got {item!r}")
         key, _, val = item.partition("=")
         values[key.strip()] = val.strip()
-    return cfgmod.scenario_from_config(values)
+    return cfgmod.scenario_from_config(values, base)
 
 
 def _load_frame(args) -> imaging.Frame:
@@ -58,29 +57,18 @@ def _pick_color(text: str) -> tuple[int, int, int]:
         raise argparse.ArgumentTypeError(str(e)) from None
 
 
-def _check_flag(flag: str, check, *args, **kwargs):
-    """check(*args, **kwargs), naming the flag in any ValueError it raises."""
-    try:
-        return check(*args, **kwargs)
-    except ValueError as e:
-        raise ValueError(f"{flag}: {e}") from None
-
-
 def cmd_segment(args) -> int:
-    # a flag is checked by the rule of the Scenario field of the same name
-    for name, value in vars(args).items():
-        _check_flag("--" + name.replace("_", "-"), harness.check_field,
-                    name, value)
+    s = _scenario_from_args(args)
     frame = _load_frame(args)
     threshold = segmentation.threshold_from_pick(
-        args.pick, args.mode, rgb_margin=args.rgb_margin,
-        chroma_margin=args.chroma_margin, i_min=args.i_min)
+        args.pick, s.mode, rgb_margin=s.rgb_margin,
+        chroma_margin=s.chroma_margin, i_min=s.i_min)
     mask = segmentation.segment_rgb(frame, threshold)
     if args.mask_out:
         segmentation.write_pbm(mask, args.mask_out)
     if args.words_out:
         segmentation.write_mask_words(mask, args.words_out)
-    reg = locate(mask, ScanParams(args.min_width))
+    reg = locate(mask, ScanParams(s.min_width))
     if reg is None:
         print("no region found")
     else:
@@ -106,13 +94,7 @@ def cmd_track(args) -> int:
 
 
 def cmd_clock(args) -> int:
-    scenario = _scenario_from_args(args)
-    radius_deg = args.radius_px / scenario.intrinsics.ppd_x
-    motion = _check_flag("--radius-px", replace, scenario.motion,
-                         radius=radius_deg)
-    motion = _check_flag("--period", replace, motion, kind="circular",
-                         period=args.period)
-    scenario = replace(scenario, kind="clock_motion", motion=motion)
+    scenario = _scenario_from_args(args, harness.CLOCK_SCENARIO)
     metrics = _run_and_save(scenario, args)
     print(f"mean_radius_px: {metrics.mean_radius:.6g}")
     print(f"radius_std_px: {metrics.radius_std:.6g}")
@@ -123,7 +105,10 @@ def cmd_clock(args) -> int:
 def cmd_sweep(args) -> int:
     scenario = _scenario_from_args(args)
     for level in args.levels:
-        _check_flag("--levels", harness.check_field, "illumination", level)
+        try:
+            harness.check_field("illumination", level)
+        except ValueError as e:
+            raise ValueError(f"--levels: {e}") from None
     result = run_illumination_sweep(scenario, tuple(args.levels))
     lines = result.report_lines()
     for line in lines:
@@ -172,13 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--height", type=int, help="raw input height")
     p.add_argument("--pick", type=_pick_color, required=True,
                    help="picked color R,G,B (8-bit)")
-    p.add_argument("--mode", choices=segmentation.THRESHOLD_MODES,
-                   default=Scenario.mode)
-    p.add_argument("--rgb-margin", type=int, default=Scenario.rgb_margin)
-    p.add_argument("--chroma-margin", type=float,
-                   default=Scenario.chroma_margin)
-    p.add_argument("--i-min", type=int, default=Scenario.i_min)
-    p.add_argument("--min-width", type=int, default=Scenario.min_width)
+    _add_scenario_args(p)
     p.add_argument("--mask-out", help="write mask as PBM (P4)")
     p.add_argument("--words-out", help="write raw packed mask words")
     p.set_defaults(func=cmd_segment)
@@ -193,10 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_args(p)
     p.add_argument("--csv", help="write per-frame trajectory CSV")
     p.add_argument("--report", help="write metrics report")
-    p.add_argument("--radius-px", type=float, default=87.57,
-                   help="circle radius in pixels")
-    p.add_argument("--period", type=float, default=3.82,
-                   help="seconds per revolution")
     p.set_defaults(func=cmd_clock)
 
     p = sub.add_parser("sweep", help="illumination sweep, both segmenters")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import fields, replace
 
-from .harness import Scenario, check_field, check_saturation
+from .harness import Scenario, check_field, check_frames, check_saturation
 
 # Key prefix of each nested dataclass field; ObjectMotion.kind is `motion`.
 _PREFIXES = {"intrinsics": "", "pan_model": "pan_", "tilt_model": "tilt_",
@@ -35,6 +35,10 @@ def _key_table() -> dict:
 
 
 KEYS = _key_table()
+
+# Rules on two top-level keys; an error names those of them that were given.
+_JOINT_RULES = ((("u_min", "u_max"), check_saturation),
+                (("duration", "sample_time"), check_frames))
 
 
 def parse_config(path) -> dict:
@@ -61,8 +65,9 @@ def parse_color(text: str) -> tuple[int, int, int]:
     return rgb
 
 
-def scenario_from_config(values: dict) -> Scenario:
-    """Build a Scenario from string key/value pairs, validating keys."""
+def scenario_from_config(values: dict,
+                         base: Scenario = Scenario()) -> Scenario:
+    """Override base with string key/value pairs, validating keys."""
     top, nested = {}, {}
     for key, text in values.items():
         if key not in KEYS:
@@ -79,16 +84,16 @@ def scenario_from_config(values: dict) -> Scenario:
             top[name] = value
         else:
             nested.setdefault(outer, {})[name] = value
-    default = Scenario()
-    try:
-        check_saturation(*(top.get(k, getattr(default, k))
-                           for k in ("u_min", "u_max")))
-    except ValueError as e:
-        raise ValueError(f"config key 'u_min', 'u_max': {e}") from None
+    for names, check in _JOINT_RULES:
+        try:
+            check(*(top.get(k, getattr(base, k)) for k in names))
+        except ValueError as e:
+            keys = ", ".join(repr(k) for k in values if k in names)
+            raise ValueError(f"config key {keys}: {e}") from None
     for outer, changes in nested.items():
         try:
-            top[outer] = replace(getattr(default, outer), **changes)
+            top[outer] = replace(getattr(base, outer), **changes)
         except ValueError as e:
             keys = ", ".join(repr(k) for k in values if KEYS[k][0] == outer)
             raise ValueError(f"config key {keys}: {e}") from None
-    return replace(default, **top)
+    return replace(base, **top)

@@ -159,15 +159,12 @@ def discretize(gains: PiGains, t: float) -> IncrementalCoeffs:
 class ControllerState:
     """Runtime state of one axis: previous command, previous error, limits."""
 
-    t: float  # sampling period, seconds
     u_prev: float = 0.0
     e_prev: float = 0.0
     u_min: float = -1.0
     u_max: float = 1.0
 
     def __post_init__(self):
-        if self.t <= 0:
-            raise ValueError("sampling period must be > 0")
         if not self.u_min < self.u_max:
             raise ValueError("saturation limits must satisfy u_min < u_max")
         if not self.u_min <= self.u_prev <= self.u_max:

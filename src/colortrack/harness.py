@@ -30,6 +30,8 @@ SWEEP_LEVELS = (1.0, 0.8, 0.6, 0.4)  # illumination levels, brightest first
 
 # Scenario fields with a rule of their own: (test, what the value must be).
 _FIELD_RULES = {
+    "kind": (lambda v: v in SCENARIO_KINDS,
+             "one of " + ", ".join(SCENARIO_KINDS)),
     "duration": (lambda v: math.isfinite(v) and v > 0, "finite and > 0"),
     "sample_time": (lambda v: math.isfinite(v) and v > 0, "finite and > 0"),
     "object_kind": (lambda v: v in SHAPE_KINDS,
@@ -60,6 +62,17 @@ def check_saturation(u_min: float, u_max: float) -> None:
     """Raise a ValueError unless the command limits leave room to move."""
     if not u_min < u_max:
         raise ValueError("u_min must be < u_max")
+
+
+def check_frames(duration: float, sample_time: float) -> None:
+    """Raise a ValueError unless duration is a finite number of frames >= 1."""
+    frames = duration / sample_time
+    if not math.isfinite(frames):
+        raise ValueError("duration must be a finite number of frames "
+                         "of sample_time")
+    if round(frames) < 1:
+        raise ValueError("duration must round to at least one frame "
+                         "of sample_time")
 
 
 @dataclass(frozen=True)
@@ -119,17 +132,10 @@ class Scenario:
     u_max: float = 45.0
 
     def __post_init__(self):
-        if self.kind not in SCENARIO_KINDS:
-            raise ValueError(f"unknown scenario kind: {self.kind!r}")
         for name in _FIELD_RULES:
             check_field(name, getattr(self, name))
         check_saturation(self.u_min, self.u_max)
-        if not math.isfinite(self.duration / self.sample_time):
-            raise ValueError("duration must be a finite number of frames "
-                             "of sample_time")
-        if self.n_frames < 1:
-            raise ValueError("duration must round to at least one frame "
-                             "of sample_time")
+        check_frames(self.duration, self.sample_time)
 
     @property
     def n_frames(self) -> int:
@@ -157,6 +163,14 @@ class Scenario:
         return threshold_from_pick(pick, mode, rgb_margin=self.rgb_margin,
                                    chroma_margin=self.chroma_margin,
                                    i_min=self.i_min)
+
+
+# The clock test's base: a circle of 87.57 px at the default 8 px/deg and
+# 3.82 s a revolution, run for two whole revolutions so that the mean of the
+# detected centres is the circle's centre.
+CLOCK_SCENARIO = Scenario(
+    kind="clock_motion", duration=7.64,
+    motion=ObjectMotion(kind="circular", radius=87.57 / 8.0, period=3.82))
 
 
 @dataclass(frozen=True, slots=True)
@@ -278,8 +292,8 @@ def run_scenario(s: Scenario) -> tuple[TrajectoryRecord, TrackingMetrics]:
         coeffs_x = discretize(gx, s.sample_time)
         coeffs_y = discretize(gy, s.sample_time)
 
-    cs_x = ControllerState(t=s.sample_time, u_min=s.u_min, u_max=s.u_max)
-    cs_y = ControllerState(t=s.sample_time, u_min=s.u_min, u_max=s.u_max)
+    cs_x = ControllerState(u_min=s.u_min, u_max=s.u_max)
+    cs_y = ControllerState(u_min=s.u_min, u_max=s.u_max)
     pan = PlantState()
     tilt = PlantState()
     ux = uy = 0.0

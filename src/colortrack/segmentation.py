@@ -198,14 +198,15 @@ def _field_grid() -> tuple[np.ndarray, ...]:
     return grid
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=2)
 def _verdict_table(t) -> np.ndarray:
     """Segmentation verdict for every RGB565 word, a read-only bool array.
 
     Built from the field grid by comparisons alone, broadcast over the
     (r5, g6, b5) grid, whose C-order index is the word itself. Thresholds
-    are frozen, so the table of each of the last few is kept: a tracking
-    run segments every frame with the one threshold picked at its start.
+    are frozen, so the tables of the last two are kept: a tracking run uses
+    one threshold and a sweep two, while stills picked one by one rarely
+    repeat a threshold, so more entries would hold tables never read again.
     """
     r, g, b, i, r_ratio, g_ratio = _field_grid()
     if isinstance(t, RgbBoxThreshold):

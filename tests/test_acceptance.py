@@ -187,7 +187,7 @@ def test_criterion_6_discretization_convergence():
     devs = []
     for t_step in (0.1, 0.05, 0.025, 0.0125):
         coeffs = discretize(gains, t_step)
-        cs = ControllerState(t=t_step, u_min=-1e9, u_max=1e9)
+        cs = ControllerState(u_min=-1e9, u_max=1e9)
         x = PlantState()
         times, ys = [], []
         for k in range(int(round(8.0 / t_step))):

@@ -45,6 +45,22 @@ def test_segment_subcommand(capsys, tmp_path):
     assert words.stat().st_size == 2400 * 4
 
 
+def test_segment_reads_mode_and_min_width_from_config(capsys, tmp_path):
+    px = np.zeros((16, 16), np.uint16)
+    px[4:, 2] = imaging.narrow(200, 100, 40)  # a one-pixel-wide bar
+    px[2:6, 6:10] = imaging.narrow(100, 50, 20)  # same hue, dark: chroma only
+    px[8:12, 10:14] = imaging.narrow(200, 100, 40)
+    img = tmp_path / "frame.ppm"
+    imaging.write_ppm(Frame(16, 16, px), img)
+    cfg = tmp_path / "segment.cfg"
+    cfg.write_text("mode = rgb\nmin_width = 1\n")
+    # only the rgb box at min_width 1 starts on the bar
+    code, out, _ = run(capsys, "segment", str(img), "--pick", "206,101,41",
+                       "--config", str(cfg))
+    assert code == 0
+    assert out.startswith("region: x 2..2, y 4..15, ")
+
+
 def test_segment_no_region(capsys, tmp_path):
     img = tmp_path / "black.ppm"
     imaging.write_ppm(Frame.filled(16, 16, 0), img)
@@ -80,12 +96,30 @@ def test_track_set_overrides_config(capsys, tmp_path):
     assert n_rows == round(0.5 * 10.9)
 
 
-def test_clock_subcommand(capsys, tmp_path):
-    code, out, _ = run(capsys, "clock", "--radius-px", "87.57",
-                       "--period", "3.82", "--set", "duration=3.82")
-    assert code == 0
+def mean_radius(out):
     line = [l for l in out.splitlines() if l.startswith("mean_radius_px")][0]
-    assert abs(float(line.split(":")[1]) - 87.57) <= 2.0
+    return float(line.split(":")[1])
+
+
+def test_clock_subcommand(capsys, tmp_path):
+    code, out, _ = run(capsys, "clock", "--set", "motion_radius=10.94625",
+                       "--set", "motion_period=3.82", "--set", "duration=3.82")
+    assert code == 0
+    assert abs(mean_radius(out) - 87.57) <= 2.0
+
+
+def test_clock_alone_is_criterion_8(capsys):
+    # two whole revolutions of the 87.57 px circle, as criterion 8 runs it
+    code, out, _ = run(capsys, "clock")
+    assert code == 0
+    assert out.splitlines()[:2] == ["mean_radius_px: 87.5636",
+                                    "radius_std_px: 0.334"]
+
+
+def test_clock_motion_radius_key_sets_the_radius(capsys):
+    code, out, _ = run(capsys, "clock", "--set", "motion_radius=5")
+    assert code == 0
+    assert abs(mean_radius(out) - 5 * 8) <= 1.0  # 5 deg at 8 px/deg
 
 
 def test_sweep_subcommand(capsys, tmp_path):
@@ -146,7 +180,7 @@ def test_scenario_without_frames_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "track", "--set", "sample_time=10",
                        "--set", "duration=1", "--csv", str(csv))
     assert code == 1
-    assert err.startswith("error: duration ")
+    assert err.startswith("error: config key 'sample_time', 'duration': ")
     assert not csv.exists()
 
 
@@ -158,7 +192,7 @@ def test_scenario_with_infinite_frame_count_exit_code(capsys, duration,
     code, out, err = run(capsys, "track", "--set", f"duration={duration}",
                          "--set", f"sample_time={sample_time}")
     assert code == 1
-    assert err.startswith("error: duration ")
+    assert err.startswith("error: config key 'duration', 'sample_time': ")
     assert out == ""
 
 
@@ -172,7 +206,8 @@ def test_scenario_with_infinite_frame_count_exit_code(capsys, duration,
                                   "ts=nan", "ts=inf", "pan_tau=inf",
                                   "tilt_k=nan", "u_max=nan", "u_min=nan",
                                   "u_min=5", "u_max=-1", "min_width=0",
-                                  "object_kind=star", "mode=foo"])
+                                  "object_kind=star", "mode=foo",
+                                  "kind=foo", "duration=0.01"])
 def test_out_of_range_config_value_exit_code(capsys, item):
     key = item.partition("=")[0]
     code, _, err = run(capsys, "track", "--set", item)
@@ -194,9 +229,9 @@ def test_black_pick_exit_code(capsys, tmp_path, item):
 
 
 @pytest.mark.parametrize("argv, flag", [
-    (["clock", "--period", "0"], "--period"),
-    (["clock", "--period", "inf"], "--period"),
-    (["clock", "--radius-px", "nan"], "--radius-px"),
+    (["clock", "--set", "motion_period=0"], "config key 'motion_period'"),
+    (["clock", "--set", "motion_period=inf"], "config key 'motion_period'"),
+    (["clock", "--set", "motion_radius=nan"], "config key 'motion_radius'"),
     (["sweep", "--levels", "1.5"], "--levels"),
     (["sweep", "--levels", "1", "-0.1"], "--levels"),
 ], ids=["period-0", "period-inf", "radius-nan", "levels-1.5",
@@ -235,19 +270,20 @@ def test_segment_pick_out_of_range_exit_code(capsys, tmp_path):
     assert "argument --pick: color channels must be in 0..255" in err
 
 
-@pytest.mark.parametrize("flag, value", [("--rgb-margin", "-5"),
-                                         ("--chroma-margin", "-0.1"),
-                                         ("--chroma-margin", "nan"),
-                                         ("--i-min", "0"),
-                                         ("--min-width", "0")])
-def test_segment_bad_threshold_flag_names_the_flag(capsys, tmp_path, flag,
-                                                  value):
+# each id names the segment flag that the key replaced
+@pytest.mark.parametrize("item", ["rgb_margin=-5", "chroma_margin=-0.1",
+                                  "chroma_margin=nan", "i_min=0",
+                                  "min_width=0"],
+                         ids=["--rgb-margin--5", "--chroma-margin--0.1",
+                              "--chroma-margin-nan", "--i-min-0",
+                              "--min-width-0"])
+def test_segment_bad_threshold_flag_names_the_flag(capsys, tmp_path, item):
     img = tmp_path / "black.ppm"
     imaging.write_ppm(Frame.filled(4, 4, 0), img)
     code, out, err = run(capsys, "segment", str(img), "--pick", "100,50,20",
-                         "--mode", "rgb", flag, value)
+                         "--set", "mode=rgb", "--set", item)
     assert code == 1
-    assert err.startswith(f"error: {flag}: ")
+    assert err.startswith(f"error: config key '{item.partition('=')[0]}': ")
     assert out == ""
 
 

@@ -114,8 +114,7 @@ def test_discretize_examples():
 
 def test_pi_step_pure_p_constant_error():
     c = discretize(PiGains(kp=2.0, ki=0.0), t=0.1)
-    state = ControllerState(t=0.1, u_prev=0.5, e_prev=3.0,
-                            u_min=-10, u_max=10)
+    state = ControllerState(u_prev=0.5, e_prev=3.0, u_min=-10, u_max=10)
     u, state = pi_step(state, c, 3.0)
     # increments cancel for constant error under pure P
     assert u == pytest.approx(0.5)
@@ -125,7 +124,7 @@ def test_pi_step_pure_p_constant_error():
 
 def test_pi_step_zero_error_equilibrium():
     c = discretize(PiGains(1.0, 1.0), t=0.1)
-    state = ControllerState(t=0.1, u_prev=0.7, u_min=-1, u_max=1)
+    state = ControllerState(u_prev=0.7, u_min=-1, u_max=1)
     for _ in range(5):
         u, state = pi_step(state, c, 0.0)
         assert u == pytest.approx(0.7)
@@ -134,7 +133,7 @@ def test_pi_step_zero_error_equilibrium():
 def test_pi_step_hand_trace():
     # kp=0, ki=2, T=1: c0 = c1 = 1
     c = discretize(PiGains(kp=0.0, ki=2.0), t=1.0)
-    state = ControllerState(t=1.0, u_min=-100, u_max=100)
+    state = ControllerState(u_min=-100, u_max=100)
     u, state = pi_step(state, c, 1.0)
     assert u == pytest.approx(1.0)
     u, state = pi_step(state, c, 1.0)
@@ -143,14 +142,14 @@ def test_pi_step_hand_trace():
 
 def test_pi_step_rejects_non_finite():
     c = IncrementalCoeffs(1.0, 0.0)
-    state = ControllerState(t=0.1)
+    state = ControllerState()
     with pytest.raises(ValueError, match="non-finite"):
         pi_step(state, c, math.nan)
 
 
 def test_pi_step_saturation_and_anti_windup():
     c = discretize(PiGains(kp=0.0, ki=2.0), t=1.0)
-    state = ControllerState(t=1.0, u_min=-1.0, u_max=1.0)
+    state = ControllerState(u_min=-1.0, u_max=1.0)
     for _ in range(10):
         u, state = pi_step(state, c, 5.0)
     assert u == 1.0
@@ -167,7 +166,7 @@ def test_pi_step_saturation_and_anti_windup():
 @settings(max_examples=100)
 def test_pi_step_linear_without_saturation(u_prev, e_prev, e, a, b):
     c = IncrementalCoeffs(c0=1.3, c1=-0.4)
-    big = ControllerState(t=0.1, u_prev=u_prev, e_prev=e_prev,
+    big = ControllerState(u_prev=u_prev, e_prev=e_prev,
                           u_min=-1e9, u_max=1e9)
     u, _ = pi_step(big, c, e)
     assert u == pytest.approx(u_prev + e_prev * c.c1 + e * c.c0, rel=1e-12,
@@ -176,11 +175,9 @@ def test_pi_step_linear_without_saturation(u_prev, e_prev, e, a, b):
 
 def test_controller_state_validation():
     with pytest.raises(ValueError):
-        ControllerState(t=0.0)
+        ControllerState(u_min=1.0, u_max=-1.0)
     with pytest.raises(ValueError):
-        ControllerState(t=0.1, u_min=1.0, u_max=-1.0)
-    with pytest.raises(ValueError):
-        ControllerState(t=0.1, u_prev=5.0, u_min=-1.0, u_max=1.0)
+        ControllerState(u_prev=5.0, u_min=-1.0, u_max=1.0)
 
 
 # -- discrete loop vs continuous reference -----------------------------------
@@ -188,7 +185,7 @@ def test_controller_state_validation():
 def simulate_discrete_loop(plant, gains, t_step, horizon, ref=1.0):
     """Discrete PI + exact-ZOH plant; returns (times, outputs)."""
     coeffs = discretize(gains, t_step)
-    cs = ControllerState(t=t_step, u_min=-1e9, u_max=1e9)
+    cs = ControllerState(u_min=-1e9, u_max=1e9)
     x = PlantState()
     times, ys = [], []
     for k in range(int(round(horizon / t_step))):
