@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from contextlib import contextmanager
 
 from . import config as cfgmod
 from . import harness, imaging, segmentation
@@ -33,9 +35,21 @@ def _load_frame(args) -> imaging.Frame:
     return imaging.read_ppm(args.image)
 
 
+@contextmanager
+def _flags(*names):
+    """Prefix a ValueError raised in the block with the flags it concerns."""
+    try:
+        yield
+    except ValueError as e:
+        raise ValueError(f"{', '.join(names)}: {e}") from None
+
+
 def cmd_design(args) -> int:
-    gains, diag = design_gains(PlantModel(args.k, args.tau),
-                               LoopSpec(args.ts, args.po))
+    with _flags("--k", "--tau"):
+        plant = PlantModel(args.k, args.tau)
+    with _flags("--ts", "--po"):
+        spec = LoopSpec(args.ts, args.po)
+    gains, diag = design_gains(plant, spec)
     print(f"kp: {gains.kp:.6g}")
     print(f"ki: {gains.ki:.6g}")
     print(f"xi: {diag.xi:.6g}")
@@ -60,10 +74,7 @@ def _pick_color(text: str) -> tuple[int, int, int]:
 def cmd_segment(args) -> int:
     s = _scenario_from_args(args)
     frame = _load_frame(args)
-    threshold = segmentation.threshold_from_pick(
-        args.pick, s.mode, rgb_margin=s.rgb_margin,
-        chroma_margin=s.chroma_margin, i_min=s.i_min)
-    mask = segmentation.segment_rgb(frame, threshold)
+    mask = segmentation.segment_rgb(frame, s.picked_threshold(args.pick))
     if args.mask_out:
         segmentation.write_pbm(mask, args.mask_out)
     if args.words_out:
@@ -104,11 +115,9 @@ def cmd_clock(args) -> int:
 
 def cmd_sweep(args) -> int:
     scenario = _scenario_from_args(args)
-    for level in args.levels:
-        try:
+    with _flags("--levels"):
+        for level in args.levels:
             harness.check_field("illumination", level)
-        except ValueError as e:
-            raise ValueError(f"--levels: {e}") from None
     result = run_illumination_sweep(scenario, tuple(args.levels))
     lines = result.report_lines()
     for line in lines:
@@ -121,8 +130,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_render(args) -> int:
     scenario = _scenario_from_args(args)
-    frame = imaging.render(scenario.scene_at(args.time), CameraPose(),
-                           scenario.intrinsics)
+    with _flags("--time"):
+        if not math.isfinite(args.time):
+            raise ValueError(f"must be finite, got {args.time}")
+        scene = scenario.scene_at(args.time)
+    frame = imaging.render(scene, CameraPose(), scenario.intrinsics)
     if args.out.endswith(".rgb565"):
         imaging.write_rgb565(frame, args.out)
     else:

@@ -5,9 +5,8 @@ from __future__ import annotations
 import math
 from array import array
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field, fields, replace
-from operator import attrgetter
-from typing import Optional
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -151,16 +150,17 @@ class Scenario:
                       self.object_color)
         return Scene(self.background, (shape,), self.illumination)
 
-    def picked_threshold(self, mode: Optional[str] = None):
-        """Threshold from the object's rendered color at full illumination.
+    def picked_threshold(self, pick: Optional[tuple[int, int, int]] = None):
+        """Threshold of this scenario's mode, margins and i_min around a pick.
 
-        Mirrors picking the target on screen: the pick is the quantized
-        pixel value, not the nominal scene color.
+        The default pick is the object's colour as rendered at the
+        scenario's illumination, as picking the target on screen gives it:
+        the quantized pixel value, not the nominal scene colour.
         """
-        mode = mode or self.mode
-        lit = tuple(int(self.illumination * c) for c in self.object_color)
-        pick = widen(imaging.narrow(*lit))
-        return threshold_from_pick(pick, mode, rgb_margin=self.rgb_margin,
+        if pick is None:
+            lit = imaging._lit(self.object_color, self.illumination)
+            pick = widen(imaging.narrow(*lit))
+        return threshold_from_pick(pick, self.mode, rgb_margin=self.rgb_margin,
                                    chroma_margin=self.chroma_margin,
                                    i_min=self.i_min)
 
@@ -173,8 +173,9 @@ CLOCK_SCENARIO = Scenario(
     motion=ObjectMotion(kind="circular", radius=87.57 / 8.0, period=3.82))
 
 
-@dataclass(frozen=True, slots=True)
-class TrajectoryRow:
+class TrajectoryRow(NamedTuple):
+    """One frame of a run; its fields are the trajectory CSV's columns."""
+
     t: float
     ex: float
     ey: float
@@ -187,9 +188,7 @@ class TrajectoryRow:
     found: bool
 
 
-_ROW_FIELDS = tuple(f.name for f in fields(TrajectoryRow))
-_ROW_WIDTH = len(_ROW_FIELDS)
-_row_values = attrgetter(*_ROW_FIELDS)
+_ROW_WIDTH = len(TrajectoryRow._fields)
 
 
 class TrajectoryRecord(Sequence):
@@ -209,7 +208,7 @@ class TrajectoryRecord(Sequence):
             self.append(row)
 
     def append(self, row: TrajectoryRow) -> None:
-        self._values.extend(_row_values(row))
+        self._values.extend(row)
 
     def __len__(self) -> int:
         return len(self._values) // _ROW_WIDTH
@@ -222,11 +221,6 @@ class TrajectoryRecord(Sequence):
         k = i * _ROW_WIDTH
         return _row_from(self._values[k:k + _ROW_WIDTH])
 
-    def __iter__(self):
-        v = self._values
-        for k in range(0, len(v), _ROW_WIDTH):
-            yield _row_from(v[k:k + _ROW_WIDTH])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TrajectoryRecord):
             return NotImplemented
@@ -237,13 +231,12 @@ class TrajectoryRecord(Sequence):
 
     def column(self, name: str) -> np.ndarray:
         """One field of every row, as a float array."""
-        j = _ROW_FIELDS.index(name)
+        j = TrajectoryRow._fields.index(name)
         return np.frombuffer(self._values)[j::_ROW_WIDTH].copy()
 
 
 def _row_from(v) -> TrajectoryRow:
-    return TrajectoryRow(v[0], v[1], v[2], v[3], v[4], v[5], v[6],
-                         int(v[7]), int(v[8]), bool(v[9]))
+    return TrajectoryRow(*v[:7], int(v[7]), int(v[8]), bool(v[9]))
 
 
 @dataclass(frozen=True, slots=True)
@@ -397,16 +390,15 @@ def circle_stats(centers: Sequence[tuple[float, float]] | np.ndarray
     return float(radii.mean()), float(radii.std())
 
 
-CSV_HEADER = "t,ex,ey,ux,uy,pan,tilt,cx,cy,found"
+CSV_HEADER = ",".join(TrajectoryRow._fields)
+_CSV_ROW = "%.6g," * 7 + "%d,%d,%d\n"
 
 
 def write_csv(rec: TrajectoryRecord, path) -> None:
     with open(path, "w") as f:
         f.write(CSV_HEADER + "\n")
-        for r in rec:
-            f.write("%.6g,%.6g,%.6g,%.6g,%.6g,%.6g,%.6g,%d,%d,%d\n"
-                    % (r.t, r.ex, r.ey, r.ux, r.uy, r.pan, r.tilt,
-                       r.cx, r.cy, int(r.found)))
+        for row in rec:
+            f.write(_CSV_ROW % row)
 
 
 def read_csv(path) -> TrajectoryRecord:
@@ -417,12 +409,9 @@ def read_csv(path) -> TrajectoryRecord:
             raise ValueError(f"unexpected CSV header: {header!r}")
         for line in f:
             v = line.strip().split(",")
-            if len(v) != 10:
+            if len(v) != _ROW_WIDTH:
                 raise ValueError(f"bad CSV row: {line!r}")
-            rec.append(TrajectoryRow(
-                float(v[0]), float(v[1]), float(v[2]), float(v[3]),
-                float(v[4]), float(v[5]), float(v[6]), int(v[7]),
-                int(v[8]), bool(int(v[9]))))
+            rec.append(_row_from([*map(float, v[:7]), *map(int, v[7:])]))
     return rec
 
 
@@ -458,8 +447,8 @@ def run_illumination_sweep(s: Scenario,
     applied unchanged across the sweep.
     """
     base = replace(s, illumination=levels[0])
-    chroma_t = base.picked_threshold("chroma")
-    rgb_t = base.picked_threshold("rgb")
+    chroma_t = replace(base, mode="chroma").picked_threshold()
+    rgb_t = replace(base, mode="rgb").picked_threshold()
     pose = CameraPose()
     chroma_counts = []
     rgb_counts = []

@@ -246,6 +246,33 @@ def test_clock_and_sweep_bad_flag_names_the_flag(capsys, tmp_path, argv, flag):
     assert not out_file.exists()
 
 
+DESIGN = ["design", "--k", "1", "--tau", "0.2", "--ts", "1.6", "--po", "5"]
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (["render", "--time", "nan"], "--time"),
+    (["render", "--time", "inf"], "--time"),
+    (["render", "--time", "nan", "--set", "motion=circular"], "--time"),
+    # finite, but the circle's angle overflows
+    (["render", "--time", "1e308", "--set", "motion=circular",
+      "--set", "motion_radius=1"], "--time"),
+    (DESIGN + ["--k", "0"], "--k, --tau"),
+    (DESIGN + ["--tau", "inf"], "--k, --tau"),
+    (DESIGN + ["--ts", "nan"], "--ts, --po"),
+    (DESIGN + ["--po", "100"], "--ts, --po"),
+], ids=["time-nan", "time-inf", "circular-time-nan", "circular-time-1e308",
+        "k-0", "tau-inf", "ts-nan", "po-100"])
+def test_render_and_design_bad_flag_names_the_flag(capsys, tmp_path, argv,
+                                                   flags):
+    out_file = tmp_path / "out"
+    out_flag = "--out" if argv[0] == "render" else "--csv"
+    code, out, err = run(capsys, *argv, out_flag, str(out_file))
+    assert code == 1
+    assert err.startswith(f"error: {flags}: ")
+    assert out == ""
+    assert not out_file.exists()
+
+
 @pytest.mark.parametrize("items, keys", [
     (["u_min=0", "u_max=0"], "'u_min', 'u_max'"),
     (["motion=circular", "motion_period=nan"], "'motion', 'motion_period'"),

@@ -1,9 +1,9 @@
 import math
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from colortrack import config as cfgmod
@@ -12,6 +12,9 @@ from colortrack.harness import (ObjectMotion, Scenario, TrajectoryRecord,
                                 TrajectoryRow, circle_stats, default_band,
                                 run_illumination_sweep, run_scenario,
                                 settling_time)
+from colortrack.imaging import SHAPE_KINDS
+from colortrack.plant import CameraIntrinsics
+from colortrack.segmentation import THRESHOLD_MODES
 
 
 def synthetic_record(ts, exs, eys=None):
@@ -178,12 +181,71 @@ def test_clock_scenario_radius():
     assert metrics.radius_std < 4.0
 
 
+def assert_lost_rows_hold_command(rec, metrics):
+    """Each lost row has no centre, NaN errors and the previous command."""
+    command = (0.0, 0.0)  # before the first frame
+    for r in rec:
+        if not r.found:
+            assert (r.cx, r.cy) == (-1, -1)
+            assert math.isnan(r.ex) and math.isnan(r.ey)
+            assert (r.ux, r.uy) == command
+        command = (r.ux, r.uy)
+    assert metrics.lost_frames == sum(not r.found for r in rec)
+
+
+# A circle too wide for the camera to follow: the object is found, then lost
+# while tracking is on.
+LOST_TARGET = Scenario(kind="step_track", duration=3.0,
+                       motion=ObjectMotion(kind="circular", radius=18.0,
+                                           period=1.5))
+
+
 def test_lost_object_holds_command():
-    s = Scenario(kind="step_track", duration=1.0,
-                 motion=ObjectMotion(az=25.0, el=0.0))  # outside the FOV
-    rec, metrics = run_scenario(s)
+    never = Scenario(kind="step_track", duration=1.0,
+                     motion=ObjectMotion(az=25.0, el=0.0))  # outside the FOV
+    rec, metrics = run_scenario(never)
+    assert_lost_rows_hold_command(rec, metrics)
     assert metrics.lost_frames == len(rec)
-    assert all(not r.found and r.ux == 0.0 and r.cx == -1 for r in rec)
+
+    rec, metrics = run_scenario(LOST_TARGET)
+    assert_lost_rows_hold_command(rec, metrics)
+    rows = list(rec)
+    assert any(a.found and not b.found for a, b in zip(rows, rows[1:]))
+
+
+@st.composite
+def short_scenarios(draw):
+    """Tracking runs of at most 0.5 s on a still object inside the view."""
+    intr = CameraIntrinsics()
+    half_az = intr.width / 2 / intr.ppd_x
+    half_el = intr.height / 2 / intr.ppd_y
+    u_max = draw(st.floats(0.5, 60.0))
+    return Scenario(
+        kind="step_track", duration=draw(st.floats(0.1, 0.5)),
+        motion=ObjectMotion(az=draw(st.floats(-half_az, half_az)),
+                            el=draw(st.floats(-half_el, half_el))),
+        object_kind=draw(st.sampled_from(SHAPE_KINDS)),
+        object_size=draw(st.floats(0.5, 12.0)),
+        mode=draw(st.sampled_from(THRESHOLD_MODES)),
+        illumination=draw(st.floats(0.3, 1.0)),
+        min_width=draw(st.integers(1, 6)),
+        u_min=-u_max, u_max=u_max)
+
+
+@given(short_scenarios())
+@example(LOST_TARGET)
+@settings(deadline=None)
+def test_closed_loop_invariants(s):
+    try:
+        rec, metrics = run_scenario(s)
+    except ValueError:
+        return
+    intr = s.intrinsics
+    for r in rec:
+        assert s.u_min <= r.ux <= s.u_max and s.u_min <= r.uy <= s.u_max
+        if r.found:
+            assert 0 <= r.cx < intr.width and 0 <= r.cy < intr.height
+    assert_lost_rows_hold_command(rec, metrics)
 
 
 def test_commands_never_exceed_saturation():
@@ -320,7 +382,7 @@ def test_record_column_matches_rows():
 def test_record_lost_rows_compare_equal():
     a, b = TrajectoryRecord([LOST] * 3), TrajectoryRecord([LOST] * 3)
     assert a == b and repr(a) == repr(b)
-    c = TrajectoryRecord([LOST, replace(LOST, ux=0.75), LOST])
+    c = TrajectoryRecord([LOST, LOST._replace(ux=0.75), LOST])
     assert a != c and repr(a) != repr(c)
 
 

@@ -260,11 +260,11 @@ STOCK = Scenario()
 
 
 @pytest.mark.parametrize("threshold", [
-    STOCK.picked_threshold("chroma"),
-    STOCK.picked_threshold("rgb"),
-    replace(STOCK, i_min=1).picked_threshold("chroma"),
-    replace(STOCK, chroma_margin=0.0).picked_threshold("chroma"),
-    replace(STOCK, rgb_margin=0).picked_threshold("rgb"),
+    replace(STOCK, mode="chroma").picked_threshold(),
+    replace(STOCK, mode="rgb").picked_threshold(),
+    replace(STOCK, mode="chroma", i_min=1).picked_threshold(),
+    replace(STOCK, mode="chroma", chroma_margin=0.0).picked_threshold(),
+    replace(STOCK, mode="rgb", rgb_margin=0).picked_threshold(),
     RgbBoxThreshold(0, 255, 0, 255, 0, 255),
     ChromaThreshold(0.0, 1.0, 0.0, 1.0),
     ChromaThreshold(0.0, 1.0, 0.0, 1.0, i_min=1),
