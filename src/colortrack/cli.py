@@ -107,9 +107,8 @@ def cmd_track(args) -> int:
 def cmd_clock(args) -> int:
     scenario = _scenario_from_args(args, harness.CLOCK_SCENARIO)
     metrics = _run_and_save(scenario, args)
-    print(f"mean_radius_px: {metrics.mean_radius:.6g}")
-    print(f"radius_std_px: {metrics.radius_std:.6g}")
-    print(f"lost_frames: {metrics.lost_frames}")
+    for line in metrics.report_lines()[2:]:  # radius, spread, lost frames
+        print(line)
     return 0
 
 

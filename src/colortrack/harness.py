@@ -362,7 +362,7 @@ def _overshoot_pct(t: np.ndarray, e0: float) -> float:
 def compute_metrics(rec: TrajectoryRecord) -> TrackingMetrics:
     found = rec.column("found") != 0
     n_found = int(found.sum())
-    settle = settling_time(rec, default_band(rec)) if len(rec) else None
+    settle = settling_time(rec, default_band(rec))
     first = _first_found_error(rec)
     over = 0.0
     if first is not None:

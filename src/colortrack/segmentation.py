@@ -3,17 +3,16 @@
 Two threshold spaces are supported: a raw-RGB box, and rg chromaticity
 (normalized RGB), which is approximately invariant to illumination level.
 An RGB565 pixel has only 65,536 values, so either threshold is fully
-described by a verdict table indexed by the word. The widened fields,
-every word's luminance and the quotient of every field value by every
-luminance are computed once; each threshold's table is built from them by
-comparisons alone and kept for the next call, and segmenting a frame is
-one lookup per pixel (Bruce, Balch & Veloso, CMVision, IROS 2000).
+described by a verdict table indexed by the word. Every word's widened
+channels, luminance and chromaticity are computed once; each threshold's
+table is its own comparisons over them, kept for the next call, and
+segmenting a frame is one lookup per pixel (Bruce, Balch & Veloso,
+CMVision, IROS 2000).
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,21 +177,18 @@ def threshold_from_pick(color: tuple[int, int, int], mode: str, *,
 
 @functools.cache
 def _field_grid() -> tuple[np.ndarray, ...]:
-    """The RGB565 fields, every word's luminance and every chromaticity.
+    """Every RGB565 word's channels, luminance and chromaticity.
 
-    Returns (r, g, b, i, r_ratio, g_ratio). r, g and b are the widened
-    values of the 32, 64 and 32 field codes, and i = r + g + b is the
-    uint16 luminance of every word, shaped (32, 64, 32) so that its C-order
-    index is the word itself. r_ratio[c, k] is the float64 quotient
-    r[c] / (k + 1) for every luminance k + 1 = 1..765, and g_ratio
-    likewise, the same divisions a per-word computation would make. Built
-    once, read-only, 0.7 MB.
+    Returns (r, g, b, i, r_ratio, g_ratio), each indexed by the word
+    itself: the widened channels, the uint16 luminance i = r + g + b, and
+    the float64 quotients r / i and g / i. Word 0 is the only word with
+    i = 0; its quotients are taken over 1 instead, and i >= i_min >= 1
+    rejects it anyway. Built once, read-only, 1.3 MB.
     """
-    r, g, b = (widen_channels(np.arange(n) << shift)[:, k]
-               for n, shift, k in ((32, 11, 0), (64, 5, 1), (32, 0, 2)))
-    i = r.astype(np.uint16)[:, None, None] + g[None, :, None] + b[None, None, :]
-    lum = np.arange(1, 3 * 255 + 1)
-    grid = r, g, b, i, r[:, None] / lum, g[:, None] / lum
+    r, g, b = widen_channels(np.arange(0x10000)).T.copy()
+    i = r.astype(np.uint16) + g + b
+    lum = np.maximum(i, 1)
+    grid = r, g, b, i, r / lum, g / lum
     for a in grid:
         a.setflags(write=False)
     return grid
@@ -202,34 +198,19 @@ def _field_grid() -> tuple[np.ndarray, ...]:
 def _verdict_table(t) -> np.ndarray:
     """Segmentation verdict for every RGB565 word, a read-only bool array.
 
-    Built from the field grid by comparisons alone, broadcast over the
-    (r5, g6, b5) grid, whose C-order index is the word itself. Thresholds
-    are frozen, so the tables of the last two are kept: a tracking run uses
-    one threshold and a sweep two, while stills picked one by one rarely
-    repeat a threshold, so more entries would hold tables never read again.
+    The threshold's own inclusive comparisons over the field grid.
+    Thresholds are frozen, so the tables of the last two are kept: a
+    tracking run uses one threshold and a sweep two, while stills picked
+    one by one rarely repeat a threshold, so more entries would hold
+    tables never read again.
     """
     r, g, b, i, r_ratio, g_ratio = _field_grid()
     if isinstance(t, RgbBoxThreshold):
-        table = (((r >= t.r_min) & (r <= t.r_max))[:, None, None]
-                 & ((g >= t.g_min) & (g <= t.g_max))[None, :, None]
-                 & ((b >= t.b_min) & (b <= t.b_max))[None, None, :])
+        table = ((r >= t.r_min) & (r <= t.r_max) & (g >= t.g_min)
+                 & (g <= t.g_max) & (b >= t.b_min) & (b <= t.b_max))
     else:
-        # For a field value c, c / i never rises as i grows, so c / i >= lo
-        # holds for i up to the count of quotients >= lo, and c / i <= hi
-        # for i past the count of quotients > hi: each (r5, g6) pair passes
-        # one range of luminances. i >= i_min >= 1 also rejects word 0,
-        # the only one with i = 0.
-        r_top, r_low, g_top, g_low = (
-            passed.sum(axis=1, dtype=np.uint16)
-            for passed in (r_ratio >= t.r_min, r_ratio > t.r_max,
-                           g_ratio >= t.g_min, g_ratio > t.g_max))
-        # i > ceil(min(i_min, 766)) - 1 iff i >= i_min, since i is a whole
-        # number <= 765; i_min need not be one
-        low = np.maximum(np.maximum.outer(r_low, g_low),
-                         math.ceil(min(t.i_min, 3 * 255 + 1)) - 1)
-        top = np.minimum.outer(r_top, g_top)
-        table = (i > low[:, :, None]) & (i <= top[:, :, None])
-    table = table.reshape(-1)
+        table = ((i >= t.i_min) & (r_ratio >= t.r_min) & (r_ratio <= t.r_max)
+                 & (g_ratio >= t.g_min) & (g_ratio <= t.g_max))
     table.setflags(write=False)
     return table
 

@@ -314,18 +314,30 @@ def test_segment_bad_threshold_flag_names_the_flag(capsys, tmp_path, item):
     assert out == ""
 
 
-@pytest.mark.parametrize("payload, width, height", [(b"", "0", "0"),
-                                                    (b"\x00" * 12, "-2", "-3")],
-                         ids=["0x0", "-2x-3"])
+@pytest.mark.parametrize("payload, dims, message", [
+    (b"", ["--width", "0", "--height", "0"], "bad raw dimensions 0x0"),
+    (b"\x00" * 12, ["--width", "-2", "--height", "-3"],
+     "bad raw dimensions -2x-3"),
+    (b"\x00" * 12, [], "raw .rgb565 input needs --width and --height"),
+], ids=["0x0", "-2x-3", "no-dimensions"])
 def test_segment_bad_raw_dimensions_exit_code(capsys, tmp_path, payload,
-                                              width, height):
+                                              dims, message):
     raw = tmp_path / "frame.rgb565"
     raw.write_bytes(payload)
-    code, out, err = run(capsys, "segment", str(raw), "--pick", "255,0,0",
-                         "--width", width, "--height", height)
+    code, out, err = run(capsys, "segment", str(raw), "--pick", "1,2,3",
+                         *dims)
     assert code == 1
-    assert err.startswith("error: bad raw dimensions")
+    assert err == f"error: {message}\n"
     assert out == ""
+
+
+def test_set_without_equals_exit_code(capsys, tmp_path):
+    csv = tmp_path / "run.csv"
+    code, out, err = run(capsys, "track", "--set", "foo", "--csv", str(csv))
+    assert code == 1
+    assert err == "error: --set expects key=value, got 'foo'\n"
+    assert out == ""
+    assert not csv.exists()
 
 
 def test_bad_config_path_exit_code(capsys):

@@ -418,6 +418,13 @@ def test_csv_rejects_bad_header(tmp_path):
         harness.read_csv(p)
 
 
+def test_csv_rejects_short_row(tmp_path):
+    p = tmp_path / "short.csv"
+    p.write_text(harness.CSV_HEADER + "\n0,0,0,0,0,0,0,-1,-1\n")  # nine fields
+    with pytest.raises(ValueError, match="bad CSV row"):
+        harness.read_csv(p)
+
+
 def test_report_file(tmp_path):
     _, metrics = run_scenario(Scenario(kind="step_track", duration=1.0))
     p = tmp_path / "report.txt"

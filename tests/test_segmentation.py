@@ -101,6 +101,11 @@ def test_mask_word_count_qvga():
     assert len(mask.words) == 2400
 
 
+def test_mask_rejects_wrong_word_count():
+    with pytest.raises(ValueError, match="expected 1 words"):
+        PackedBinaryMask(4, 4, np.zeros(2, np.uint32))
+
+
 def test_mask_addressing_definition():
     mask = PackedBinaryMask.zeros(320, 240)
     mask_set(mask, 0, 0, 1)
