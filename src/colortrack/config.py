@@ -1,10 +1,11 @@
 """Flat key = value scenario configuration files.
 
-Lines are `key = value`; blank lines and `#` comments are ignored.
-CLI flags override file values. The keys are the fields of `Scenario`,
-with each nested dataclass flattened to one key per field; unknown keys
-are rejected to catch typos. A value is parsed by the type of the field's
-default, and a tuple default is parsed as an `r,g,b` colour.
+The file is UTF-8 text. Lines are `key = value`; blank lines and `#`
+comments are ignored. CLI flags override file values. The keys are the
+fields of `Scenario`, with each nested dataclass flattened to one key per
+field; unknown keys are rejected to catch typos. A value is parsed by the
+type of the field's default, and a tuple default is parsed as an `r,g,b`
+colour.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ _JOINT_RULES = ((("u_min", "u_max"), check_saturation),
 
 def parse_config(path) -> dict:
     values = {}
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         for lineno, raw in enumerate(f, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:

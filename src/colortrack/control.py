@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 
@@ -101,7 +101,8 @@ def design_gains(plant: PlantModel, spec: LoopSpec,
 
     In both forms specs with ts > 8*tau are rejected (the continuous
     design would need kp < 0), and the diagnostics report xi, wn and the
-    continuous s-plane poles.
+    continuous s-plane poles. A sampled plant whose b rounds to 0, or
+    whose c0 or c1 overflows, is rejected too.
     """
     if spec.ts > 8 * plant.tau:
         raise ValueError(
@@ -121,8 +122,14 @@ def design_gains(plant: PlantModel, spec: LoopSpec,
     p1, p2 = (cmath.exp(p * t) for p in poles)
     a = math.exp(-t / plant.tau)
     b = (1.0 - a) * plant.k
+    sampled = f"degenerate sampled plant b/(z - a), a={a:.17g}, b={b:g}"
+    if b == 0:
+        raise ValueError(f"{sampled} at t={t:g} s: b is 0")
     c0 = (1.0 + a - (p1 + p2).real) / b
     c1 = ((p1 * p2).real - a) / b
+    if not (math.isfinite(c0) and math.isfinite(c1)):
+        raise ValueError(f"{sampled} at t={t:g} s: PI coefficients "
+                         f"c0={c0:g}, c1={c1:g} are not finite")
     return PiGains((c0 - c1) / 2.0, (c0 + c1) / t), diag
 
 
@@ -182,4 +189,4 @@ def pi_step(state: ControllerState, coeffs: IncrementalCoeffs,
         raise ValueError(f"non-finite error input: {e}")
     u_raw = state.u_prev + state.e_prev * coeffs.c1 + e * coeffs.c0
     u = min(max(u_raw, state.u_min), state.u_max)
-    return u, replace(state, u_prev=u, e_prev=e)
+    return u, ControllerState(u, e, state.u_min, state.u_max)

@@ -167,7 +167,7 @@ def render(scene: Scene, pose, intrinsics) -> Frame:
         y0, y1 = _extent(cy, ry, h)
         if x0 >= x1 or y0 >= y1:
             continue
-        ys, xs = np.ogrid[y0:y1, x0:x1]
+        ys, xs = np.arange(y0, y1)[:, None], np.arange(x0, x1)
         if shape.kind == "disk":
             covered = ((xs - cx) / rx) ** 2 + ((ys - cy) / ry) ** 2 <= 1.0
         elif shape.kind == "rectangle":

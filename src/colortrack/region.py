@@ -134,18 +134,14 @@ def trace_contour(mask: PackedBinaryMask, start: tuple[int, int], *,
     sx, sy = start
     if not (0 <= sx < w and 0 <= sy < h and bits[sy, sx]):
         raise ValueError(f"contour start ({sx}, {sy}) is not a set pixel")
-    comp = np.fromiter(_component_runs(runs, sx, sy), dtype=np.intp)
-    rows, x0s, x1s = (a[comp] for a in runs)
-    top_left = comp.argmin()  # runs are sorted by row, then by x0
-    top, bottom = int(rows[top_left]), int(rows.max())
-    left, right = int(x0s.min()), int(x1s.max())
+    comp, head, (top, bottom, left, right) = _component_runs(runs, sx, sy)
 
     stride = right - left + 3
     grid = np.zeros((bottom - top + 3, stride), dtype=np.uint8)
     grid[1:-1, 1:-1] = bits[top:bottom + 1, left:right + 1]
     cells = grid.tobytes()
     ring = [dx + dy * stride for dx, dy in zip(_DX, _DY)]  # neighbour offsets
-    first = cur = stride + int(x1s[top_left]) - left + 1
+    first = cur = stride + int(runs[2][head]) - left + 1
     # The start's eastern neighbour is outer background; the walk
     # backtracks from there.
     sweep = _SWEEP[0]
@@ -174,6 +170,7 @@ def trace_contour(mask: PackedBinaryMask, start: tuple[int, int], *,
     centroid = (None, None)
     if fill_count:
         # Exact integer sums, divided once; (x0 + x1) * size is always even.
+        rows, x0s, x1s = (a[np.fromiter(comp, dtype=np.intp)] for a in runs)
         size = x1s - x0s + 1
         pixel_count = int(size.sum())
         centroid = (int(((x0s + x1s) * size).sum()) // 2 / pixel_count,
@@ -186,11 +183,17 @@ def trace_contour(mask: PackedBinaryMask, start: tuple[int, int], *,
         centroid_y=centroid[1])
 
 
-def _component_runs(runs, sx: int, sy: int) -> set[int]:
-    """Indices into `runs`, the runs of the whole mask, of the 8-connected
-    component holding set pixel (sx, sy).
+def _component_runs(runs, sx: int, sy: int):
+    """The 8-connected component holding set pixel (sx, sy), from `runs`,
+    the runs of the whole mask.
 
-    Runs in adjacent rows touch when x0_a <= x1_b + 1 and x0_b <= x1_a + 1.
+    Returns (indices, head, (top, bottom, left, right)): the indices of the
+    component's runs into `runs`, the index of its first run in raster
+    order (the leftmost run on its top row), and its limits. Runs are
+    sorted by row, then by x0, so the head is the smallest index and the
+    bottom row is the largest index's; the left and right limits are kept
+    as the runs are visited. Runs in adjacent rows touch when
+    x0_a <= x1_b + 1 and x0_b <= x1_a + 1.
     """
     rows, x0s, x1s = (a.tolist() for a in runs)
     last = rows[-1]
@@ -200,11 +203,16 @@ def _component_runs(runs, sx: int, sy: int) -> set[int]:
         # first run of row y whose x1 >= x, by bisection over that row
         return bisect_left(x1s, x, starts[y], starts[y + 1])
 
-    stack = [first_touching(sy, sx)]
-    seen = set(stack)
+    i = first_touching(sy, sx)
+    stack, seen = [i], {i}
+    left, right = x0s[i], x1s[i]
     while stack:
         i = stack.pop()
         y, a, b = rows[i], x0s[i], x1s[i]
+        if a < left:
+            left = a
+        if b > right:
+            right = b
         for ny in (y - 1, y + 1):
             if not 0 <= ny <= last:
                 continue
@@ -215,7 +223,8 @@ def _component_runs(runs, sx: int, sy: int) -> set[int]:
                     seen.add(j)
                     stack.append(j)
                 j += 1
-    return seen
+    head = min(seen)
+    return seen, head, (rows[head], rows[max(seen)], left, right)
 
 
 def locate(mask: PackedBinaryMask, params: ScanParams = ScanParams(), *,

@@ -59,13 +59,16 @@ class PackedBinaryMask:
         pad = (-len(flat)) % 4
         if pad:
             flat = np.concatenate([flat, np.zeros(pad, np.uint8)])
-        return cls(width, height, flat.view("<u4").astype(np.uint32))
+        return cls(width, height,
+                   flat.view("<u4").astype(np.uint32, copy=False))
 
     def to_bool(self) -> np.ndarray:
-        """Unpack to a (height, width) boolean array."""
-        flat = np.unpackbits(self.words.astype("<u4").view(np.uint8),
+        """Unpack to a new (height, width) boolean array."""
+        flat = np.unpackbits(self.words.astype("<u4", copy=False).view(np.uint8),
                              bitorder="little")
-        return flat[: self.width * self.height].reshape(self.height, self.width) != 0
+        # unpacked bits are 0 or 1, so the bytes are valid bools as they are
+        return flat[: self.width * self.height].reshape(
+            self.height, self.width).view(bool)
 
     def count(self) -> int:
         return int(self.to_bool().sum())

@@ -215,6 +215,18 @@ def test_out_of_range_config_value_exit_code(capsys, item):
     assert err.startswith(f"error: config key '{key}': ")
 
 
+@pytest.mark.parametrize("item", ["pan_tau=1e300", "pan_k=1e-320",
+                                  "tilt_tau=1e300", "tilt_k=1e-320"])
+def test_degenerate_sampled_plant_exit_code(capsys, tmp_path, item):
+    # the plant passes its own checks, but its sampled form has no usable gain
+    csv = tmp_path / "run.csv"
+    code, out, err = run(capsys, "track", "--set", item, "--csv", str(csv))
+    assert code == 1
+    assert err.startswith("error: degenerate sampled plant b/(z - a)")
+    assert out == ""
+    assert not csv.exists()
+
+
 @pytest.mark.parametrize("item", ["illumination=0", "illumination=0.02",
                                   "object_color=0,0,0"])
 def test_black_pick_exit_code(capsys, tmp_path, item):

@@ -287,3 +287,14 @@ def test_sampled_design_validation():
         design_gains(PlantModel(1.0, 0.2), LoopSpec(ts=1.6, po=5.0), 0.0)
     with pytest.raises(ValueError, match="infeasible"):
         design_gains(PlantModel(1.0, 0.15), LoopSpec(ts=1.6, po=5.0), 0.1)
+
+
+@pytest.mark.parametrize("k, tau, reason", [
+    (8.0, 1e300, "b is 0"),  # exp(-t/tau) rounds to 1
+    (8e-320, 0.2, "are not finite"),  # c0 = (1 + a - p1 - p2)/b overflows
+])
+def test_sampled_design_rejects_degenerate_plant(k, tau, reason):
+    with pytest.raises(ValueError, match=rf"degenerate sampled plant .*"
+                                         rf"{reason}"):
+        design_gains(PlantModel(k, tau), LoopSpec(ts=1.6, po=5.0),
+                     DEFAULT_SAMPLE_TIME)

@@ -1,4 +1,6 @@
+import io
 import math
+import re
 from dataclasses import fields, is_dataclass
 
 import numpy as np
@@ -571,6 +573,44 @@ def test_config_key_sets_exactly_its_field(key):
 def test_config_value_error_names_the_key(key, text):
     with pytest.raises(ValueError, match=f"^config key '{key}': "):
         cfgmod.scenario_from_config({key: text})
+
+
+# Config values as typed: any text, and text that parses as a number or a
+# colour, in range or not.
+CONFIG_TEXT = st.one_of(
+    st.text(max_size=12), st.floats().map(repr),
+    st.integers(-300, 300).map(str),
+    st.lists(st.integers(-300, 300).map(str), min_size=1,
+             max_size=4).map(",".join))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(cfgmod.KEYS)), CONFIG_TEXT)
+def test_config_value_fails_only_naming_its_key(key, text):
+    try:
+        s = cfgmod.scenario_from_config({key: text})
+    except ValueError as e:
+        assert str(e).startswith(f"config key {key!r}: ")
+    else:
+        assert isinstance(s, Scenario)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(st.one_of(st.sampled_from(" =#\n\r\tkey"), st.characters()),
+               max_size=60))
+def test_config_file_fails_only_naming_its_line(tmp_path_factory, text):
+    p = tmp_path_factory.mktemp("cfg") / "any.cfg"
+    p.write_text(text, encoding="utf-8", newline="")
+    try:
+        values = cfgmod.parse_config(p)
+    except ValueError as e:
+        lineno = re.fullmatch(rf"{re.escape(str(p))}:(\d+): expected "
+                              r"'key = value'", str(e))
+        assert lineno is not None
+        line = list(io.StringIO(text, newline=None))[int(lineno[1]) - 1]
+        assert "=" not in line.partition("#")[0]
+    else:
+        assert all(isinstance(v, str) for v in values.values())
 
 
 def test_parse_color_range():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from colortrack import segmentation as seg
 from colortrack.harness import Scenario
@@ -145,6 +146,26 @@ def test_pack_round_trip_and_trailing_zeros():
     mask = PackedBinaryMask.from_bool(bits)
     assert np.array_equal(mask.to_bool(), bits)
     assert (int(mask.words[-1]) >> (63 % 32)) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(bool, st.tuples(st.integers(1, 40), st.integers(1, 40))))
+def test_pack_without_copies_is_exact_and_independent(bits):
+    # most of the drawn shapes have a pixel count that is not a multiple
+    # of 32, so the last word is partial
+    source = bits.copy()
+    mask = PackedBinaryMask.from_bool(bits)
+    packed = np.unpackbits(mask.words.astype("<u4").view(np.uint8),
+                           bitorder="little")
+    assert not packed[bits.size:].any()  # trailing bits stay zero
+    back = mask.to_bool()
+    assert back.dtype == bool and back.shape == bits.shape
+    assert np.array_equal(back, bits)
+    assert back.flags.writeable and not np.shares_memory(back, mask.words)
+    x, y = bits.shape[1] - 1, bits.shape[0] - 1
+    mask_set(mask, x, y, not bits[y, x])
+    assert np.array_equal(bits, source)  # the words do not alias the source
+    assert mask_get(mask, x, y) != bits[y, x]
 
 
 def test_mask_words_file_round_trip(tmp_path):
