@@ -122,14 +122,15 @@ def design_gains(plant: PlantModel, spec: LoopSpec,
     p1, p2 = (cmath.exp(p * t) for p in poles)
     a = math.exp(-t / plant.tau)
     b = (1.0 - a) * plant.k
-    sampled = f"degenerate sampled plant b/(z - a), a={a:.17g}, b={b:g}"
     if b == 0:
-        raise ValueError(f"{sampled} at t={t:g} s: b is 0")
+        raise ValueError(f"degenerate sampled plant b/(z - a) at t={t:g} s: "
+                         f"a={a:.17g} gives b = 0")
     c0 = (1.0 + a - (p1 + p2).real) / b
     c1 = ((p1 * p2).real - a) / b
     if not (math.isfinite(c0) and math.isfinite(c1)):
-        raise ValueError(f"{sampled} at t={t:g} s: PI coefficients "
-                         f"c0={c0:g}, c1={c1:g} are not finite")
+        raise ValueError(f"degenerate sampled plant b/(z - a) at t={t:g} s: "
+                         f"b={b:g} gives PI coefficients c0={c0:g}, "
+                         f"c1={c1:g}, not finite")
     return PiGains((c0 - c1) / 2.0, (c0 + c1) / t), diag
 
 

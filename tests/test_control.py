@@ -290,8 +290,8 @@ def test_sampled_design_validation():
 
 
 @pytest.mark.parametrize("k, tau, reason", [
-    (8.0, 1e300, "b is 0"),  # exp(-t/tau) rounds to 1
-    (8e-320, 0.2, "are not finite"),  # c0 = (1 + a - p1 - p2)/b overflows
+    (8.0, 1e300, "gives b = 0"),  # exp(-t/tau) rounds to 1
+    (8e-320, 0.2, "not finite"),  # c0 = (1 + a - p1 - p2)/b overflows
 ])
 def test_sampled_design_rejects_degenerate_plant(k, tau, reason):
     with pytest.raises(ValueError, match=rf"degenerate sampled plant .*"
