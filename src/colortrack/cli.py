@@ -49,7 +49,9 @@ def cmd_design(args) -> int:
         plant = PlantModel(args.k, args.tau)
     with _flags("--ts", "--po"):
         spec = LoopSpec(args.ts, args.po)
-    gains, diag = design_gains(plant, spec)
+    # an infeasible spec or gains that overflow come from all four values
+    with _flags("--k", "--tau", "--ts", "--po"):
+        gains, diag = design_gains(plant, spec)
     print(f"kp: {gains.kp:.6g}")
     print(f"ki: {gains.ki:.6g}")
     print(f"xi: {diag.xi:.6g}")

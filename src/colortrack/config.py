@@ -44,15 +44,23 @@ _JOINT_RULES = ((("u_min", "u_max"), check_saturation),
 
 def parse_config(path) -> dict:
     values = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
+    with open(path, "rb") as f:
+        data = f.read()
+    # bytes.splitlines breaks at \n, \r and \r\n, as text mode reads lines
+    for lineno, raw in enumerate(data.splitlines(), 1):
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ValueError(f"{path}:{lineno}: not UTF-8 text (byte "
+                             f"{raw[e.start]:#04x} at offset {e.start})"
+                             ) from None
+        line = text.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, val = line.partition("=")
+        values[key.strip()] = val.strip()
     return values
 
 

@@ -101,8 +101,9 @@ def design_gains(plant: PlantModel, spec: LoopSpec,
 
     In both forms specs with ts > 8*tau are rejected (the continuous
     design would need kp < 0), and the diagnostics report xi, wn and the
-    continuous s-plane poles. A sampled plant whose b rounds to 0, or
-    whose c0 or c1 overflows, is rejected too.
+    continuous s-plane poles. Continuous gains that overflow, and a
+    sampled plant whose b rounds to 0 or whose c0 or c1 overflows, are
+    rejected too.
     """
     if spec.ts > 8 * plant.tau:
         raise ValueError(
@@ -118,6 +119,10 @@ def design_gains(plant: PlantModel, spec: LoopSpec,
     if t is None:
         kp = (8.0 * plant.tau / spec.ts - 1.0) / plant.k
         ki = wn**2 * plant.tau / plant.k
+        if not (math.isfinite(kp) and math.isfinite(ki)):
+            raise ValueError(f"gains kp={kp:g}, ki={ki:g} are not finite "
+                             f"for K={plant.k:g}, tau={plant.tau:g}, "
+                             f"ts={spec.ts:g}")
         return PiGains(kp, ki), diag
     p1, p2 = (cmath.exp(p * t) for p in poles)
     a = math.exp(-t / plant.tau)

@@ -2,10 +2,13 @@
 
 `locate` encodes the mask once, as horizontal runs (row, x0, x1) of set
 pixels in CMVision's run-based style (Bruce, Balch & Veloso, IROS 2000),
-and hands the encoding to both the scan and the walk. The initial scan
-takes the first run wide enough. The walk collects the 8-connected runs of
-its start pixel's component once (run-based labelling, He, Chao & Suzuki,
-IEEE TIP 17(5), 2008): their extremes are the component's limits, and the
+and hands the encoding to both the scan and the walk. Only the band of
+rows between the first and the last nonzero packed word is unpacked and
+encoded, so the cost follows the rows the object covers, not the frame.
+The initial scan takes the first run wide enough. The walk collects the
+8-connected runs of its start pixel's component once (run-based
+labelling, He, Chao & Suzuki, IEEE TIP 17(5), 2008), marking visited runs
+in a flag array: their extremes are the component's limits, and the
 right end of the first of them in raster order, the leftmost run on its
 top row, is the walk's start, whose east neighbour is outer background.
 The Moore-neighborhood walk runs over a zero-bordered byte copy of the
@@ -74,10 +77,10 @@ def find_initial_run(mask: PackedBinaryMask, params: ScanParams, *,
     """First horizontal run of set pixels with length >= min_width.
 
     Scans from the top-left corner, rightward then downward, through the run
-    encoding of the whole mask: `encoding`, the mask's `_encode`, when
-    given. Returns (row, left_x, right_x) or None.
+    encoding of the mask's band of set rows: `encoding`, the mask's
+    `_encode`, when given. Returns (row, left_x, right_x) or None.
     """
-    ys, x0, x1 = (_encode(mask) if encoding is None else encoding)[1]
+    ys, x0, x1 = (_encode(mask) if encoding is None else encoding)[2]
     hit = np.flatnonzero(x1 - x0 + 1 >= params.min_width)
     if not hit.size:
         return None
@@ -86,9 +89,17 @@ def find_initial_run(mask: PackedBinaryMask, params: ScanParams, *,
 
 
 def _encode(mask: PackedBinaryMask):
-    """The mask's unpacked bits and their runs, as (bits, _runs(bits))."""
-    bits = mask.to_bool()
-    return bits, _runs(bits)
+    """The band of rows that holds every set pixel, and its runs.
+
+    Returns (top, bits, runs): the band's first row, its unpacked
+    (rows, width) bits, and `_runs(bits)` with the rows of the mask. Only
+    the rows between the first and the last nonzero word are unpacked; an
+    empty mask has an empty band.
+    """
+    top, stop = mask.band()
+    bits = mask.to_bool(top, stop)
+    ys, x0, x1 = _runs(bits)
+    return top, bits, (ys + top, x0, x1)
 
 
 def _runs(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -129,16 +140,16 @@ def trace_contour(mask: PackedBinaryMask, start: tuple[int, int], *,
     With fill_count, pixel_count and the centroid are summed over the same
     component's runs.
     """
-    bits, runs = _encode(mask) if encoding is None else encoding
-    h, w = bits.shape
+    y0, bits, runs = _encode(mask) if encoding is None else encoding
+    w, h = mask.width, mask.height
     sx, sy = start
-    if not (0 <= sx < w and 0 <= sy < h and bits[sy, sx]):
+    if not (0 <= sx < w and 0 <= sy - y0 < len(bits) and bits[sy - y0, sx]):
         raise ValueError(f"contour start ({sx}, {sy}) is not a set pixel")
-    comp, head, (top, bottom, left, right) = _component_runs(runs, sx, sy)
+    flags, head, (top, bottom, left, right) = _component_runs(runs, sx, sy)
 
     stride = right - left + 3
     grid = np.zeros((bottom - top + 3, stride), dtype=np.uint8)
-    grid[1:-1, 1:-1] = bits[top:bottom + 1, left:right + 1]
+    grid[1:-1, 1:-1] = bits[top - y0:bottom - y0 + 1, left:right + 1]
     cells = grid.tobytes()
     ring = [dx + dy * stride for dx, dy in zip(_DX, _DY)]  # neighbour offsets
     first = cur = stride + int(runs[2][head]) - left + 1
@@ -170,7 +181,8 @@ def trace_contour(mask: PackedBinaryMask, start: tuple[int, int], *,
     centroid = (None, None)
     if fill_count:
         # Exact integer sums, divided once; (x0 + x1) * size is always even.
-        rows, x0s, x1s = (a[np.fromiter(comp, dtype=np.intp)] for a in runs)
+        comp = np.flatnonzero(np.frombuffer(flags, dtype=bool))
+        rows, x0s, x1s = (a[comp] for a in runs)
         size = x1s - x0s + 1
         pixel_count = int(size.sum())
         centroid = (int(((x0s + x1s) * size).sum()) // 2 / pixel_count,
@@ -185,46 +197,52 @@ def trace_contour(mask: PackedBinaryMask, start: tuple[int, int], *,
 
 def _component_runs(runs, sx: int, sy: int):
     """The 8-connected component holding set pixel (sx, sy), from `runs`,
-    the runs of the whole mask.
+    the runs of the mask's band of set rows.
 
-    Returns (indices, head, (top, bottom, left, right)): the indices of the
-    component's runs into `runs`, the index of its first run in raster
-    order (the leftmost run on its top row), and its limits. Runs are
-    sorted by row, then by x0, so the head is the smallest index and the
-    bottom row is the largest index's; the left and right limits are kept
-    as the runs are visited. Runs in adjacent rows touch when
-    x0_a <= x1_b + 1 and x0_b <= x1_a + 1.
+    Returns (flags, head, (top, bottom, left, right)): a bytearray with a 1
+    at the index of each of the component's runs into `runs`, the index of
+    its first run in raster order (the leftmost run on its top row), and
+    its limits. Runs are sorted by row, then by x0, so the head is the
+    smallest index and the bottom row is the largest index's; both, and
+    the left and right limits, are kept as the runs are visited. Runs in
+    adjacent rows touch when x0_a <= x1_b + 1 and x0_b <= x1_a + 1.
     """
     rows, x0s, x1s = (a.tolist() for a in runs)
-    last = rows[-1]
-    starts = np.searchsorted(runs[0], np.arange(last + 2)).tolist()
-
-    def first_touching(y, x):
-        # first run of row y whose x1 >= x, by bisection over that row
-        return bisect_left(x1s, x, starts[y], starts[y + 1])
-
-    i = first_touching(sy, sx)
-    stack, seen = [i], {i}
+    first = rows[0]
+    # starts[r] is the index of the first run of row first + r, for the
+    # rows from the first run's to one past the last run's
+    starts = np.searchsorted(runs[0], np.arange(first, rows[-1] + 2)).tolist()
+    n_rows = len(starts) - 1
+    # the start's run: the first of its row whose x1 >= sx
+    i = bisect_left(x1s, sx, starts[sy - first], starts[sy - first + 1])
+    flags = bytearray(len(rows))
+    flags[i] = 1
+    stack = [i]
+    head = tail = i
     left, right = x0s[i], x1s[i]
     while stack:
         i = stack.pop()
-        y, a, b = rows[i], x0s[i], x1s[i]
+        r, a, b = rows[i] - first, x0s[i], x1s[i]
+        if i < head:
+            head = i
+        elif i > tail:
+            tail = i
         if a < left:
             left = a
         if b > right:
             right = b
-        for ny in (y - 1, y + 1):
-            if not 0 <= ny <= last:
+        for nr in (r - 1, r + 1):
+            if not 0 <= nr < n_rows:
                 continue
-            j = first_touching(ny, a - 1)
-            end = starts[ny + 1]
+            # from the first run of row nr whose x1 >= a - 1, while x0 <= b + 1
+            end = starts[nr + 1]
+            j = bisect_left(x1s, a - 1, starts[nr], end)
             while j < end and x0s[j] <= b + 1:
-                if j not in seen:
-                    seen.add(j)
+                if not flags[j]:
+                    flags[j] = 1
                     stack.append(j)
                 j += 1
-    head = min(seen)
-    return seen, head, (rows[head], rows[max(seen)], left, right)
+    return flags, head, (rows[head], rows[tail], left, right)
 
 
 def locate(mask: PackedBinaryMask, params: ScanParams = ScanParams(), *,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -62,13 +63,35 @@ class PackedBinaryMask:
         return cls(width, height,
                    flat.view("<u4").astype(np.uint32, copy=False))
 
-    def to_bool(self) -> np.ndarray:
-        """Unpack to a new (height, width) boolean array."""
-        flat = np.unpackbits(self.words.astype("<u4", copy=False).view(np.uint8),
+    def to_bool(self, top: int = 0, stop: Optional[int] = None) -> np.ndarray:
+        """Unpack rows top..stop-1, by default all, to a new boolean array.
+
+        Only the words that cover those rows are unpacked.
+        """
+        w = self.width
+        stop = self.height if stop is None else stop
+        first = top * w // WORD_BITS
+        words = self.words[first:(stop * w + WORD_BITS - 1) // WORD_BITS]
+        flat = np.unpackbits(words.astype("<u4", copy=False).view(np.uint8),
                              bitorder="little")
+        skip = top * w - first * WORD_BITS
         # unpacked bits are 0 or 1, so the bytes are valid bools as they are
-        return flat[: self.width * self.height].reshape(
-            self.height, self.width).view(bool)
+        return flat[skip:skip + (stop - top) * w].reshape(
+            stop - top, w).view(bool)
+
+    def band(self) -> tuple[int, int]:
+        """Rows (top, stop) from the first nonzero word's to the last one's.
+
+        Every set pixel lies in rows top..stop-1; stop is at most the
+        height, so bits past width*height are never in the band. An empty
+        mask gives (0, 0).
+        """
+        nonzero = np.flatnonzero(self.words)
+        if not nonzero.size:
+            return 0, 0
+        return (int(nonzero[0]) * WORD_BITS // self.width,
+                min((int(nonzero[-1]) + 1) * WORD_BITS - 1,
+                    self.width * self.height - 1) // self.width + 1)
 
     def count(self) -> int:
         return int(self.to_bool().sum())

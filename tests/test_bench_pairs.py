@@ -1,0 +1,96 @@
+"""The pairs tool's summary, on fixed numbers: no benchmark runs."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location(
+    "bench_pairs", ROOT / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+
+
+def runs_of(parent, change, metric="frame_ms_p50", workload="step_track"):
+    """Run records with `metric` from the lists and 1.0 for every other
+    end-to-end metric, seeds 1, 2, ..."""
+    runs = []
+    for seed, values in enumerate(zip(parent, change), 1):
+        for side, value in zip(bench_pairs.SIDES, values):
+            metrics = {d["name"]: 1.0 for d in END_TO_END}
+            metrics[metric] = value
+            runs.append({"workload": workload, "seed": seed, "side": side,
+                         "metrics": metrics})
+    return runs
+
+
+def test_pair_order_and_seeds():
+    assert bench_pairs.order(161) == ("parent", "change")
+    assert bench_pairs.order(162) == ("change", "parent")
+    assert bench_pairs.parse_seeds("161-164") == [161, 162, 163, 164]
+    assert bench_pairs.parse_seeds("5,9") == [5, 9]
+
+
+def test_summary_of_a_met_claim():
+    parent = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9]
+    change = [v - 0.5 for v in parent]
+    change[9] = 2.0  # the change loses one pair
+    s = bench_pairs.summarize(runs_of(parent, change), END_TO_END,
+                              ("step_track", "frame_ms_p50"))
+    m = s["end_to_end"]["step_track"]["frame_ms_p50"]
+    assert m["parent"] == pytest.approx(
+        {"median": 1.45, "q1": 1.225, "q3": 1.675})
+    assert m["change"]["median"] == pytest.approx(0.95)
+    assert m["change_wins"] == "9 of 10"
+    assert m["parent_iqr"] == pytest.approx(0.45)
+    assert m["median_gap"] == pytest.approx(0.5)  # positive: change better
+    assert m["worse_by_fraction_of_parent"] == pytest.approx(-0.5 / 1.45)
+    assert m["within_bound"] and m["bound"] == 0.25
+    claim = s["claimed_gain"]
+    assert claim["met"] and claim["change_wins"] == "9 of 10"
+    # equal values are no win, and no loss beyond the bound
+    other = s["end_to_end"]["step_track"]["frames_per_s"]
+    assert other["change_wins"] == "0 of 10" and other["within_bound"]
+    assert other["median_gap"] == 0.0
+
+
+@pytest.mark.parametrize("shift, lost, met", [
+    (-0.5, 2, False),  # 8 wins of 10
+    (-0.05, 0, False),  # 10 wins, but the gap is inside the parent's IQR
+])
+def test_summary_of_an_unmet_claim(shift, lost, met):
+    parent = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9]
+    change = [v + shift for v in parent]
+    for i in range(lost):
+        change[i] = 5.0
+    s = bench_pairs.summarize(runs_of(parent, change), END_TO_END,
+                              ("step_track", "frame_ms_p50"))
+    assert s["claimed_gain"]["met"] is met
+
+
+def test_summary_bound_and_per_pair_for_higher_is_better():
+    # frames_per_s falls 30 %: worse beyond its 0.25 bound
+    s = bench_pairs.summarize(runs_of([100.0] * 4, [70.0] * 4,
+                                      "frames_per_s"), END_TO_END)
+    m = s["end_to_end"]["step_track"]["frames_per_s"]
+    assert m["worse_by_fraction_of_parent"] == pytest.approx(0.3)
+    assert not m["within_bound"]
+    assert m["median_gap"] == pytest.approx(-30.0)
+    assert "claimed_gain" not in s
+    rss = s["end_to_end"]["step_track"]["peak_rss_mb"]["per_pair"]
+    assert [p["seed"] for p in rss] == [1, 2, 3, 4]
+    assert rss[0] == {"seed": 1, "parent": 1.0, "change": 1.0,
+                      "change_over_parent": 1.0}
+
+
+def test_summary_skips_unpaired_and_failed_runs():
+    runs = runs_of([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+    runs.append({"workload": "step_track", "seed": 4, "side": "parent",
+                 "metrics": runs[0]["metrics"]})
+    del runs[0]["metrics"]  # seed 1's parent run failed
+    table = bench_pairs.summarize(runs, END_TO_END)["end_to_end"]
+    assert table["step_track"]["frame_ms_p50"]["change_wins"] == "0 of 2"

@@ -27,7 +27,7 @@ def test_design_infeasible_exit_code(capsys):
     code, _, err = run(capsys, "design", "--k", "1", "--tau", "0.1",
                        "--ts", "2", "--po", "5")
     assert code == 1
-    assert "infeasible" in err
+    assert err.startswith("error: --k, --tau, --ts, --po: infeasible spec")
 
 
 def test_segment_subcommand(capsys, tmp_path):
@@ -272,8 +272,11 @@ DESIGN = ["design", "--k", "1", "--tau", "0.2", "--ts", "1.6", "--po", "5"]
     (DESIGN + ["--tau", "inf"], "--k, --tau"),
     (DESIGN + ["--ts", "nan"], "--ts, --po"),
     (DESIGN + ["--po", "100"], "--ts, --po"),
+    # valid values whose gains overflow: ki = inf
+    (DESIGN + ["--k", "1e-320"], "--k, --tau, --ts, --po"),
+    (DESIGN + ["--ts", "1e-320"], "--k, --tau, --ts, --po"),
 ], ids=["time-nan", "time-inf", "circular-time-nan", "circular-time-1e308",
-        "k-0", "tau-inf", "ts-nan", "po-100"])
+        "k-0", "tau-inf", "ts-nan", "po-100", "k-1e-320", "ts-1e-320"])
 def test_render_and_design_bad_flag_names_the_flag(capsys, tmp_path, argv,
                                                    flags):
     out_file = tmp_path / "out"
@@ -356,3 +359,12 @@ def test_bad_config_path_exit_code(capsys):
     code, _, err = run(capsys, "track", "--config", "/nonexistent.cfg")
     assert code == 1
     assert err.startswith("error:")
+
+
+def test_config_not_utf8_names_file_and_line(capsys, tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"duration = 5\n\xff\n")
+    code, out, err = run(capsys, "track", "--config", str(cfg))
+    assert code == 1
+    assert err == f"error: {cfg}:2: not UTF-8 text (byte 0xff at offset 0)\n"
+    assert out == ""

@@ -76,6 +76,16 @@ def test_design_infeasible():
         design_gains(PlantModel(1.0, 0.15), LoopSpec(ts=1.6, po=5.0))
 
 
+@pytest.mark.parametrize("k, tau, ts", [
+    (1e-320, 0.2, 1.6),  # ki = wn^2*tau/K overflows; kp is exactly 0
+    (1.0, 0.2, 1e-320),  # 8*tau/ts and wn = 4/(ts*xi) overflow
+], ids=["k-1e-320", "ts-1e-320"])
+def test_design_rejects_gains_that_are_not_finite(k, tau, ts):
+    with pytest.raises(ValueError, match=r"gains kp=\S+, ki=inf are not "
+                                         r"finite for K="):
+        design_gains(PlantModel(k, tau), LoopSpec(ts=ts, po=5.0))
+
+
 @given(st.floats(0.1, 20.0), st.floats(0.05, 2.0), st.floats(0.3, 0.99),
        st.floats(1.0, 60.0))
 @settings(max_examples=200)

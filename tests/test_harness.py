@@ -1,7 +1,7 @@
 import io
 import math
 import re
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -14,8 +14,9 @@ from colortrack.harness import (ObjectMotion, Scenario, TrajectoryRecord,
                                 TrajectoryRow, circle_stats, default_band,
                                 run_illumination_sweep, run_scenario,
                                 settling_time)
-from colortrack.imaging import SHAPE_KINDS
-from colortrack.plant import CameraIntrinsics
+from colortrack.imaging import SHAPE_KINDS, Scene, render
+from colortrack.plant import CameraIntrinsics, CameraPose
+from colortrack.region import ScanParams, locate
 from colortrack.segmentation import THRESHOLD_MODES
 
 
@@ -248,6 +249,59 @@ def test_closed_loop_invariants(s):
         if r.found:
             assert 0 <= r.cx < intr.width and 0 <= r.cy < intr.height
     assert_lost_rows_hold_command(rec, metrics)
+
+
+HALF_AZ = CameraIntrinsics().width / 2 / CameraIntrinsics().ppd_x
+HALF_EL = CameraIntrinsics().height / 2 / CameraIntrinsics().ppd_y
+
+
+def lone_object(az, el, kind="disk", size=4.0, mode="chroma"):
+    """One frame of a still object, the only thing the threshold passes."""
+    return Scenario(kind="step_track", duration=harness.DEFAULT_SAMPLE_TIME,
+                    motion=ObjectMotion(az=az, el=el), object_kind=kind,
+                    object_size=size, mode=mode)
+
+
+@st.composite
+def lone_objects(draw):
+    """Inside the view, clipped at an edge, or out of view."""
+    size = draw(st.floats(0.5, 12.0))
+    return lone_object(draw(st.floats(-HALF_AZ - size, HALF_AZ + size)),
+                       draw(st.floats(-HALF_EL - size, HALF_EL + size)),
+                       draw(st.sampled_from(SHAPE_KINDS)), size,
+                       draw(st.sampled_from(THRESHOLD_MODES)))
+
+
+@given(lone_objects())
+@example(lone_object(HALF_AZ, 0.0))  # centred on each edge
+@example(lone_object(-HALF_AZ, 0.0, "triangle"))
+@example(lone_object(0.0, HALF_EL, "rectangle", mode="rgb"))
+@example(lone_object(0.0, -HALF_EL, "triangle"))
+@example(lone_object(HALF_AZ, HALF_EL, "rectangle", 12.0))  # a corner
+@example(lone_object(HALF_AZ + 2.5, 0.0, size=4.0))  # just out of view
+@example(lone_object(0.0, -HALF_EL - 6.5, "triangle", 12.0))
+@settings(deadline=None)
+def test_found_box_is_the_rendered_objects_box(s):
+    # when only the object passes the threshold, the region found is the
+    # box of the object's own pixels, which it renders alone to show; a
+    # convex shape has one run per row and is one component, so it is found
+    # exactly when its widest row is at least min_width wide
+    pose, intr = CameraPose(), s.intrinsics
+    shape = s.scene_at(0.0).shapes[0]
+    solo = render(Scene((0, 0, 0), (replace(shape, color=(255, 255, 255)),)),
+                  pose, intr).pixels != 0
+    mask = segmentation.segment_rgb(render(s.scene_at(0.0), pose, intr),
+                                    s.picked_threshold())
+    assert np.array_equal(mask.to_bool(), solo)
+    reg = locate(mask, ScanParams(s.min_width))
+    row = run_scenario(s)[0][0]
+    if not solo.sum(axis=1).max() >= s.min_width:
+        assert reg is None and not row.found
+        return
+    ys, xs = np.nonzero(solo)
+    assert (reg.top, reg.bottom, reg.left, reg.right) == \
+        (ys.min(), ys.max(), xs.min(), xs.max())
+    assert row.found and (row.cx, row.cy) == (reg.center_x, reg.center_y)
 
 
 def test_commands_never_exceed_saturation():
@@ -611,6 +665,35 @@ def test_config_file_fails_only_naming_its_line(tmp_path_factory, text):
         assert "=" not in line.partition("#")[0]
     else:
         assert all(isinstance(v, str) for v in values.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from([b" ", b"=", b"#", b"\n", b"\r",
+                                           b"key", b"\xff", b"\xc3",
+                                           "\u00e9".encode()]),
+                          st.binary(max_size=4)), max_size=20))
+def test_config_file_bytes_fail_only_naming_the_file(tmp_path_factory,
+                                                     chunks):
+    data = b"".join(chunks)
+    p = tmp_path_factory.mktemp("cfg") / "any.cfg"
+    p.write_bytes(data)
+    try:
+        values = cfgmod.parse_config(p)
+    except ValueError as e:
+        lineno = re.match(rf"{re.escape(str(p))}:(\d+): ", str(e))
+        assert lineno is not None
+        assert 1 <= int(lineno[1]) <= len(data.splitlines())
+    else:
+        assert all(isinstance(v, str) for v in values.values())
+
+
+def test_config_file_not_utf8_names_file_and_line(tmp_path):
+    p = tmp_path / "bad.cfg"
+    p.write_bytes(b"duration = 5\n\xff\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}:2: not "
+                                         r"UTF-8 text \(byte 0xff at offset "
+                                         r"0\)$"):
+        cfgmod.parse_config(p)
 
 
 def test_parse_color_range():

@@ -9,7 +9,8 @@ from colortrack.plant import CameraPose
 from colortrack import region
 from colortrack.region import (RegionDescriptor, ScanParams, _runs,
                                find_initial_run, locate, trace_contour)
-from colortrack.segmentation import PackedBinaryMask, segment_rgb
+from colortrack.segmentation import (PackedBinaryMask, read_mask_words,
+                                     segment_rgb)
 
 
 def mask_from(bits):
@@ -469,8 +470,88 @@ def test_shared_encoding_gives_same_results_property(bits, min_width, pick,
         trace_contour(mask, start, fill_count=fill)
 
 
+def with_trailing_bits(mask):
+    """The same mask built from its words with every bit past width*height
+    set, as PackedBinaryMask(w, h, words) and read_mask_words accept."""
+    words = mask.words.copy()
+    used = mask.width * mask.height % 32
+    if used:
+        words[-1] |= np.uint32((0xFFFFFFFF << used) & 0xFFFFFFFF)
+    return PackedBinaryMask(mask.width, mask.height, words)
+
+
+def assert_band_encoding_exact(bits, min_width):
+    # the band's runs are the whole mask's, the band is a slice of the
+    # mask's rows holding every set row, and locate, with the fill, is the
+    # flood-fill oracle's; bits past width*height change none of it
+    mask = mask_from(bits)
+    for m in (mask, with_trailing_bits(mask)):
+        top, band, runs = region._encode(m)
+        assert all(np.array_equal(a, b) for a, b in zip(runs, _runs(bits)))
+        assert 0 <= top and top + len(band) <= bits.shape[0]
+        assert np.array_equal(band, bits[top:top + len(band)])
+        assert band.sum() == bits.sum()
+    reg = locate(mask, ScanParams(min_width), fill_count=True)
+    assert locate(with_trailing_bits(mask), ScanParams(min_width),
+                  fill_count=True) == reg
+    run = reference_initial_run(bits, min_width)
+    if run is None:
+        assert reg is None
+        return
+    box, n, centroid = flood_oracle(bits, (run[2], run[0]))
+    assert ((reg.top, reg.bottom, reg.left, reg.right), reg.pixel_count,
+            (reg.centroid_x, reg.centroid_y)) == (box, n, centroid)
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (4, 3)])
+def test_band_encoding_exhaustive(shape):
+    # every 3x4 and 4x3 mask: 12 bits, so the one word has 20 trailing bits
+    h, w = shape
+    place = np.arange(h * w).reshape(shape)
+    for code in range(1 << (h * w)):
+        assert_band_encoding_exact((code >> place) & 1 == 1, 1 + code % 3)
+
+
+@st.composite
+def banded_masks(draw):
+    """Masks of 1-40 x 1-12 whose set pixels lie in a band of rows, which
+    may start at row 0 or end at the last row; rows of most widths
+    straddle a word boundary."""
+    w, h = draw(st.integers(1, 40)), draw(st.integers(1, 12))
+    top = draw(st.one_of(st.just(0), st.integers(0, h - 1)))
+    bottom = draw(st.one_of(st.just(h - 1), st.integers(top, h - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bits = np.zeros((h, w), dtype=bool)
+    bits[top:bottom + 1] = (rng.random((bottom - top + 1, w))
+                            < draw(st.floats(0.05, 0.9)))
+    return bits
+
+
+@given(banded_masks(), st.integers(1, 4))
+@settings(max_examples=200, deadline=None)
+def test_band_encoding_property(bits, min_width):
+    assert_band_encoding_exact(bits, min_width)
+
+
+def test_bits_past_the_mask_are_never_read(tmp_path):
+    # 5x5: the one word's bits 25-31 are past the mask
+    bits = np.zeros((5, 5), dtype=bool)
+    bits[3:, 1:4] = True
+    for b in (bits, np.zeros_like(bits)):
+        path = tmp_path / "mask.bin"
+        path.write_bytes(with_trailing_bits(mask_from(b)).words
+                         .astype("<u4").tobytes())
+        read = read_mask_words(path, 5, 5)
+        assert read.words[-1] >> 25 == 0x7F
+        assert locate(read, ScanParams(1), fill_count=True) == \
+            locate(mask_from(b), ScanParams(1), fill_count=True)
+    assert locate(read) is None
+
+
 def test_locate_empty_mask():
     assert locate(PackedBinaryMask.zeros(16, 16)) is None
+    top, band, runs = region._encode(PackedBinaryMask.zeros(16, 16))
+    assert band.shape == (0, 16) and all(a.size == 0 for a in runs)
 
 
 def test_locate_deterministic():

@@ -168,6 +168,27 @@ def test_pack_without_copies_is_exact_and_independent(bits):
     assert mask_get(mask, x, y) != bits[y, x]
 
 
+@settings(max_examples=200, deadline=None)
+@given(arrays(bool, st.tuples(st.integers(1, 12), st.integers(1, 40))),
+       st.integers(0, 12), st.integers(0, 12))
+def test_row_range_unpack_and_band(bits, a, b):
+    # any row range unpacks as the same rows of the whole mask, and the band
+    # holds every set row, even with every bit past width*height set
+    h = bits.shape[0]
+    top, stop = sorted((min(a, h), min(b, h)))
+    mask = PackedBinaryMask.from_bool(bits)
+    assert np.array_equal(mask.to_bool(top, stop), bits[top:stop])
+    words = mask.words.copy()
+    words[-1] |= np.uint32((0xFFFFFFFF << (bits.size % 32)) & 0xFFFFFFFF
+                           if bits.size % 32 else 0)
+    for m in (mask, PackedBinaryMask(bits.shape[1], h, words)):
+        top, stop = m.band()
+        assert 0 <= top <= stop <= h
+        assert not bits[:top].any() and not bits[stop:].any()
+        assert np.array_equal(m.to_bool(top, stop), bits[top:stop])
+    assert (mask.band() == (0, 0)) == (not bits.any())
+
+
 def test_mask_words_file_round_trip(tmp_path):
     rng = np.random.default_rng(2)
     mask = PackedBinaryMask.from_bool(rng.random((10, 13)) < 0.4)
