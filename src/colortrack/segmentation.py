@@ -34,7 +34,9 @@ class PackedBinaryMask:
     """Row-major bit-packed binary image, 1 bit per pixel, 32-bit words.
 
     Pixel (x, y) lives at linear index i = y*width + x, word i//32,
-    bit i%32 (LSB-first). Trailing bits past width*height stay zero.
+    bit i%32 (LSB-first). `from_bool` leaves the trailing bits past
+    width*height zero; masks built from words may have them set, and no
+    reader looks at them.
     """
 
     width: int

@@ -121,7 +121,7 @@ def summarize(runs, end_to_end, claim=None) -> dict:
                     {"seed": s, "parent": a, "change": b,
                      "change_over_parent": b / a}
                     for s, a, b in zip(seeds, *values.values())]
-    result = {"end_to_end": out}
+    result = {}
     if claim:
         workload, metric = claim
         m = out.get(workload, {}).get(metric)
@@ -129,12 +129,13 @@ def summarize(runs, end_to_end, claim=None) -> dict:
                    if m else (0, 0))
         result["claimed_gain"] = {
             "workload": workload, "metric": metric,
-            "rule": "change wins at least 9 of 10 pairs, and the median gap "
-                    "exceeds the parent's interquartile range",
+            "rule": "change wins at least nine tenths of the pairs, and the "
+                    "median gap exceeds the parent's interquartile range",
             **({k: m[k] for k in ("change_wins", "median_gap", "parent_iqr",
                                   "change_over_parent")} if m else {}),
             "met": bool(m) and wins >= math.ceil(0.9 * n)
             and m["median_gap"] > m["parent_iqr"]}
+    result["end_to_end"] = out
     return result
 
 
@@ -149,10 +150,8 @@ def main(argv=None) -> int:
     p.add_argument("--seconds", type=float, default=50.0)
     p.add_argument("--claim", help="WORKLOAD:METRIC")
     p.add_argument("--description", default="")
-    p.add_argument("--benchmark-json", type=Path,
-                   default=ROOT / "BENCHMARK.json")
     args = p.parse_args(argv)
-    bench = json.loads(args.benchmark_json.read_text())
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     claim = tuple(args.claim.split(":")) if args.claim else None
     checkouts = {"parent": args.parent.resolve(),
                  "change": args.change.resolve()}
