@@ -118,7 +118,7 @@ def design_gains(plant: PlantModel, spec: LoopSpec,
     diag = DesignDiagnostics(xi, wn, poles)
     if t is None:
         kp = (8.0 * plant.tau / spec.ts - 1.0) / plant.k
-        ki = wn**2 * plant.tau / plant.k
+        ki = wn * wn * plant.tau / plant.k  # inf, not OverflowError
         if not (math.isfinite(kp) and math.isfinite(ki)):
             raise ValueError(f"gains kp={kp:g}, ki={ki:g} are not finite "
                              f"for K={plant.k:g}, tau={plant.tau:g}, "

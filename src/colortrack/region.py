@@ -96,8 +96,7 @@ def _encode(mask: PackedBinaryMask):
     the rows between the first and the last nonzero word are unpacked; an
     empty mask has an empty band.
     """
-    top, stop = mask.band()
-    bits = mask.to_bool(top, stop)
+    top, bits = mask.band()
     ys, x0, x1 = _runs(bits)
     return top, bits, (ys + top, x0, x1)
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -65,35 +64,39 @@ class PackedBinaryMask:
         return cls(width, height,
                    flat.view("<u4").astype(np.uint32, copy=False))
 
-    def to_bool(self, top: int = 0, stop: Optional[int] = None) -> np.ndarray:
-        """Unpack rows top..stop-1, by default all, to a new boolean array.
+    def to_bool(self) -> np.ndarray:
+        """Unpack to a new (height, width) boolean array."""
+        flat = np.unpackbits(self.words.astype("<u4", copy=False).view(np.uint8),
+                             bitorder="little")
+        # unpacked bits are 0 or 1, so the bytes are valid bools as they are
+        return flat[: self.width * self.height].reshape(
+            self.height, self.width).view(bool)
 
-        Only the words that cover those rows are unpacked.
+    def band(self) -> tuple[int, np.ndarray]:
+        """The rows from the first nonzero word's to the last one's, unpacked.
+
+        Returns (top, bits): the band's first row and a new (rows, width)
+        boolean array of rows top..top+rows-1. Every set pixel lies in the
+        band, and only the words that cover it are unpacked; the band ends
+        at the last row, so bits past width*height are never in it. An
+        empty mask gives (0, an array of no rows).
         """
         w = self.width
-        stop = self.height if stop is None else stop
+        nonzero = self.words != 0
+        # argmax stops at the first True: no index array is built
+        head = int(nonzero.argmax())
+        if not nonzero[head]:
+            return 0, np.zeros((0, w), dtype=bool)
+        tail = len(nonzero) - 1 - int(nonzero[::-1].argmax())
+        top = head * WORD_BITS // w
+        stop = min((tail + 1) * WORD_BITS - 1, w * self.height - 1) // w + 1
         first = top * w // WORD_BITS
         words = self.words[first:(stop * w + WORD_BITS - 1) // WORD_BITS]
         flat = np.unpackbits(words.astype("<u4", copy=False).view(np.uint8),
                              bitorder="little")
         skip = top * w - first * WORD_BITS
-        # unpacked bits are 0 or 1, so the bytes are valid bools as they are
-        return flat[skip:skip + (stop - top) * w].reshape(
+        return top, flat[skip:skip + (stop - top) * w].reshape(
             stop - top, w).view(bool)
-
-    def band(self) -> tuple[int, int]:
-        """Rows (top, stop) from the first nonzero word's to the last one's.
-
-        Every set pixel lies in rows top..stop-1; stop is at most the
-        height, so bits past width*height are never in the band. An empty
-        mask gives (0, 0).
-        """
-        nonzero = np.flatnonzero(self.words)
-        if not nonzero.size:
-            return 0, 0
-        return (int(nonzero[0]) * WORD_BITS // self.width,
-                min((int(nonzero[-1]) + 1) * WORD_BITS - 1,
-                    self.width * self.height - 1) // self.width + 1)
 
     def count(self) -> int:
         return int(self.to_bool().sum())

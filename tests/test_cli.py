@@ -275,8 +275,10 @@ DESIGN = ["design", "--k", "1", "--tau", "0.2", "--ts", "1.6", "--po", "5"]
     # valid values whose gains overflow: ki = inf
     (DESIGN + ["--k", "1e-320"], "--k, --tau, --ts, --po"),
     (DESIGN + ["--ts", "1e-320"], "--k, --tau, --ts, --po"),
+    (DESIGN + ["--ts", "1e-200"], "--k, --tau, --ts, --po"),
 ], ids=["time-nan", "time-inf", "circular-time-nan", "circular-time-1e308",
-        "k-0", "tau-inf", "ts-nan", "po-100", "k-1e-320", "ts-1e-320"])
+        "k-0", "tau-inf", "ts-nan", "po-100", "k-1e-320", "ts-1e-320",
+        "ts-1e-200"])
 def test_render_and_design_bad_flag_names_the_flag(capsys, tmp_path, argv,
                                                    flags):
     out_file = tmp_path / "out"

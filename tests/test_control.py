@@ -79,7 +79,8 @@ def test_design_infeasible():
 @pytest.mark.parametrize("k, tau, ts", [
     (1e-320, 0.2, 1.6),  # ki = wn^2*tau/K overflows; kp is exactly 0
     (1.0, 0.2, 1e-320),  # 8*tau/ts and wn = 4/(ts*xi) overflow
-], ids=["k-1e-320", "ts-1e-320"])
+    (1.0, 0.2, 1e-200),  # wn is finite, but wn^2 overflows
+], ids=["k-1e-320", "ts-1e-320", "ts-1e-200"])
 def test_design_rejects_gains_that_are_not_finite(k, tau, ts):
     with pytest.raises(ValueError, match=r"gains kp=\S+, ki=inf are not "
                                          r"finite for K="):

@@ -650,7 +650,10 @@ def test_config_value_fails_only_naming_its_key(key, text):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.text(st.one_of(st.sampled_from(" =#\n\r\tkey"), st.characters()),
+@given(st.text(st.one_of(st.sampled_from(" =#\n\r\tkey"),
+                         # a lone surrogate has no UTF-8 encoding to write;
+                         # the bytes test below covers files that are not UTF-8
+                         st.characters(exclude_categories=("Cs",))),
                max_size=60))
 def test_config_file_fails_only_naming_its_line(tmp_path_factory, text):
     p = tmp_path_factory.mktemp("cfg") / "any.cfg"

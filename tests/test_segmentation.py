@@ -169,24 +169,22 @@ def test_pack_without_copies_is_exact_and_independent(bits):
 
 
 @settings(max_examples=200, deadline=None)
-@given(arrays(bool, st.tuples(st.integers(1, 12), st.integers(1, 40))),
-       st.integers(0, 12), st.integers(0, 12))
-def test_row_range_unpack_and_band(bits, a, b):
-    # any row range unpacks as the same rows of the whole mask, and the band
-    # holds every set row, even with every bit past width*height set
+@given(arrays(bool, st.tuples(st.integers(1, 12), st.integers(1, 40))))
+def test_band_holds_every_set_row(bits):
+    # the band unpacks as the same rows of the whole mask and holds every
+    # set row, even with every bit past width*height set
     h = bits.shape[0]
-    top, stop = sorted((min(a, h), min(b, h)))
     mask = PackedBinaryMask.from_bool(bits)
-    assert np.array_equal(mask.to_bool(top, stop), bits[top:stop])
     words = mask.words.copy()
     words[-1] |= np.uint32((0xFFFFFFFF << (bits.size % 32)) & 0xFFFFFFFF
                            if bits.size % 32 else 0)
     for m in (mask, PackedBinaryMask(bits.shape[1], h, words)):
-        top, stop = m.band()
-        assert 0 <= top <= stop <= h
+        top, band = m.band()
+        stop = top + len(band)
+        assert 0 <= top <= stop <= h and band.shape[1] == bits.shape[1]
         assert not bits[:top].any() and not bits[stop:].any()
-        assert np.array_equal(m.to_bool(top, stop), bits[top:stop])
-    assert (mask.band() == (0, 0)) == (not bits.any())
+        assert np.array_equal(band, bits[top:stop])
+    assert (len(mask.band()[1]) == 0) == (not bits.any())
 
 
 def test_mask_words_file_round_trip(tmp_path):

@@ -4,16 +4,16 @@
 Usage, from the root of the repository:
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --seeds 161-170 \
-        --out BENCH_16.json [--workloads step_track offline_vga] \
-        [--seconds 50] [--claim step_track:frame_ms_p50] \
-        [--description TEXT]
+        --out BENCH_16.json [--claim step_track:frame_ms_p50]
 
 DIR is a checkout of each tree to compare (for example a `git archive` of
-each commit). Every seed runs the benchmark command that BENCHMARK.json
-declares, with `--workload W --seed S --seconds N --trace 0`, once in each
-checkout and one run at a time: the parent first on odd seeds, the change
-first on even ones. The output is rewritten after every run, so an
-interrupted series keeps what it measured. It holds every run, and per
+each commit). For every workload that BENCHMARK.json declares, every seed
+runs the benchmark command it declares, with `--workload W --seed S
+--seconds N --trace 0` and N its `run_seconds`, once in each checkout and
+one run at a time: the parent first on odd seeds, the change first on even
+ones. A run's record is the last line the command prints. The output is
+rewritten after every run, so an interrupted series keeps what it
+measured. It holds every run, and per
 workload and end-to-end metric the medians and quartiles
 (statistics.quantiles(n=4, method='inclusive')) of each side, the change's
 wins over the seed pairs, the parent's interquartile range, the gap between
@@ -61,19 +61,12 @@ def run_once(checkout: Path, command, workload, seed, seconds) -> dict:
     rec = {"returncode": proc.returncode, "correct": False}
     try:
         last = json.loads(proc.stdout.strip().splitlines()[-1])
-        detail = json.loads((checkout / "benchmark" / "out"
-                             / f"{workload}-seed{seed}-trace0"
-                             / "result.json").read_text())
-    except (IndexError, ValueError, OSError):
+        rec.update(
+            correct=last["correct"], attempted=last["attempted"],
+            failed=last["failed"],
+            metrics={k: v["value"] for k, v in last["metrics"].items()})
+    except (IndexError, ValueError, KeyError, TypeError):
         rec["stderr"] = proc.stderr[-2000:]
-        return rec
-    rec.update(
-        correct=last["correct"], attempted=last["attempted"],
-        failed=last["failed"],
-        metrics={k: v["value"] for k, v in last["metrics"].items()},
-        error_rate=detail["simulated"]["error_rate"]["value"],
-        frame_ms_tail_def=detail["frame_ms_tail"],
-        unscaled=detail["unscaled"], environment=detail["environment"])
     return rec
 
 
@@ -145,38 +138,30 @@ def main(argv=None) -> int:
     p.add_argument("--change", type=Path, required=True)
     p.add_argument("--seeds", type=parse_seeds, required=True)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--workloads", nargs="+",
-                   default=["step_track", "offline_vga"])
-    p.add_argument("--seconds", type=float, default=50.0)
     p.add_argument("--claim", help="WORKLOAD:METRIC")
-    p.add_argument("--description", default="")
     args = p.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     claim = tuple(args.claim.split(":")) if args.claim else None
     checkouts = {"parent": args.parent.resolve(),
                  "change": args.change.resolve()}
     runs = []
-    for workload in args.workloads:
+    for workload in (w["name"] for w in bench["workloads"]):
         for seed in args.seeds:
             for i, side in enumerate(order(seed)):
                 rec = {"workload": workload, "seed": seed, "side": side,
                        "ran_first": i == 0,
                        **run_once(checkouts[side], bench["command"],
-                                  workload, seed, args.seconds)}
+                                  workload, seed, bench["run_seconds"])}
                 runs.append(rec)
                 print(json.dumps({k: rec.get(k) for k in
                                   ("workload", "seed", "side", "returncode",
                                    "metrics")}), flush=True)
-                env = next((r["environment"] for r in runs
-                            if "environment" in r), {})
-                doc = {"description": args.description, "environment": env,
-                       "seeds": args.seeds,
+                doc = {"seeds": args.seeds,
                        "quartiles": "statistics.quantiles(n=4, "
                                     "method='inclusive') over each side's "
                                     "runs",
                        **summarize(runs, bench["end_to_end"], claim),
-                       "runs": [{k: v for k, v in r.items()
-                                 if k != "environment"} for r in runs]}
+                       "runs": runs}
                 args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0 if all(r["correct"] for r in runs) else 1
 
