@@ -12,7 +12,9 @@ CMVision, IROS 2000).
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +45,9 @@ class PackedBinaryMask:
     words: np.ndarray  # uint32, length ceil(width*height/32)
 
     def __post_init__(self):
+        if self.width < 0 or self.height < 0:
+            raise ValueError(f"mask width {self.width} and height "
+                             f"{self.height} must not be negative")
         n = _word_count(self.width, self.height)
         w = np.asarray(self.words, dtype=np.uint32)
         if w.shape != (n,):
@@ -79,13 +84,14 @@ class PackedBinaryMask:
         boolean array of rows top..top+rows-1. Every set pixel lies in the
         band, and only the words that cover it are unpacked; the band ends
         at the last row, so bits past width*height are never in it. An
-        empty mask gives (0, an array of no rows).
+        empty mask, or one of zero area, gives (0, an array of no rows).
         """
         w = self.width
         nonzero = self.words != 0
-        # argmax stops at the first True: no index array is built
-        head = int(nonzero.argmax())
-        if not nonzero[head]:
+        # argmax stops at the first True, so no index array is built; it
+        # raises on a mask of zero area, which has no words
+        head = int(nonzero.argmax()) if nonzero.size else 0
+        if not nonzero.size or not nonzero[head]:
             return 0, np.zeros((0, w), dtype=bool)
         tail = len(nonzero) - 1 - int(nonzero[::-1].argmax())
         top = head * WORD_BITS // w
@@ -258,19 +264,48 @@ def segment_rgb(frame: Frame, t) -> PackedBinaryMask:
 segment_chroma = segment_rgb
 
 
+def _rewrite(path, data: bytes) -> None:
+    """Make `data` the whole content of `path`, written over its old bytes.
+
+    open(path, "wb") truncates first, and on some filesystems freeing the
+    old blocks costs more than the write (ext4 mounted with discard: about
+    200 us against 20 us for a VGA mask). So the file is opened without
+    O_TRUNC and its tail is cut only when it is still longer than `data`;
+    a device or a pipe, which cannot be cut, never reads as longer. If the
+    rewrite fails, a regular file is cut to zero bytes before the error
+    propagates, so new bytes are never left in front of old ones.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        if os.fstat(fd).st_size > len(data):
+            os.ftruncate(fd, len(data))
+    except OSError:
+        with contextlib.suppress(OSError):  # only a regular file can be cut
+            os.ftruncate(fd, 0)
+        raise
+    finally:
+        os.close(fd)
+
+
 def write_pbm(mask: PackedBinaryMask, path) -> None:
-    """Export as binary PBM (P4). PBM is MSB-first, so bits are reordered."""
-    bits = mask.to_bool()
-    rows = np.packbits(bits, axis=1)  # MSB-first, rows padded to a byte
-    with open(path, "wb") as f:
-        f.write(b"P4\n%d %d\n" % (mask.width, mask.height))
-        f.write(rows.tobytes())
+    """Export as binary PBM (P4). PBM is MSB-first, so bits are reordered.
+
+    An existing file is rewritten in place (`_rewrite`).
+    """
+    rows = np.packbits(mask.to_bool(), axis=1)  # MSB-first, rows byte-padded
+    _rewrite(path, b"P4\n%d %d\n" % (mask.width, mask.height)
+             + rows.tobytes())
 
 
 def write_mask_words(mask: PackedBinaryMask, path) -> None:
-    """Dump the raw packed words, little-endian, for exact round-trips."""
-    with open(path, "wb") as f:
-        f.write(mask.words.astype("<u4").tobytes())
+    """Dump the raw packed words, little-endian, for exact round-trips.
+
+    An existing file is rewritten in place (`_rewrite`).
+    """
+    _rewrite(path, mask.words.astype("<u4").tobytes())
 
 
 def read_mask_words(path, width: int, height: int) -> PackedBinaryMask:

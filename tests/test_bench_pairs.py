@@ -17,14 +17,15 @@ END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
 def runs_of(parent, change, metric="frame_ms_p50", workload="step_track"):
     """Run records with `metric` from the lists and 1.0 for every other
-    end-to-end metric, seeds 1, 2, ..."""
+    end-to-end metric, seeds 1, 2, ..., each of 100 operations, none
+    failed."""
     runs = []
     for seed, values in enumerate(zip(parent, change), 1):
         for side, value in zip(bench_pairs.SIDES, values):
             metrics = {d["name"]: 1.0 for d in END_TO_END}
             metrics[metric] = value
             runs.append({"workload": workload, "seed": seed, "side": side,
-                         "metrics": metrics})
+                         "attempted": 100, "failed": 0, "metrics": metrics})
     return runs
 
 
@@ -94,3 +95,24 @@ def test_summary_skips_unpaired_and_failed_runs():
     del runs[0]["metrics"]  # seed 1's parent run failed
     table = bench_pairs.summarize(runs, END_TO_END)["end_to_end"]
     assert table["step_track"]["frame_ms_p50"]["change_wins"] == "0 of 2"
+
+
+def test_failed_share_per_workload_and_in_the_claim():
+    parent = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9]
+    change = [v - 0.5 for v in parent]
+    runs = runs_of(parent, change)
+    claim = ("step_track", "frame_ms_p50")
+    s = bench_pairs.summarize(runs, END_TO_END, claim)
+    assert s["end_to_end"]["step_track"]["failed_share"] == {
+        "parent": 0.0, "change": 0.0}
+    assert s["claimed_gain"]["met"]  # an equal share does not block it
+    # summed failed over summed attempted, per side: 3 of 1000 against 2
+    runs[0].update(attempted=200, failed=3)  # seed 1's parent run
+    runs[3].update(attempted=100, failed=2)  # seed 2's change run
+    runs[5]["failed"] = 1  # seed 3's change run
+    s = bench_pairs.summarize(runs, END_TO_END, claim)
+    share = s["end_to_end"]["step_track"]["failed_share"]
+    assert share == pytest.approx({"parent": 3 / 1100, "change": 3 / 1000})
+    assert s["claimed_gain"]["failed_share"] == share
+    assert s["claimed_gain"]["change_wins"] == "10 of 10"
+    assert not s["claimed_gain"]["met"]  # the change's share is larger

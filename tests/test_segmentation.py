@@ -1,3 +1,4 @@
+import os
 from dataclasses import replace
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from colortrack import segmentation as seg
 from colortrack.harness import Scenario
 from colortrack.imaging import Frame, widen
+from colortrack.region import ScanParams, locate
 from colortrack.segmentation import (ChromaThreshold, PackedBinaryMask,
                                      RgbBoxThreshold, chromaticity,
                                      mask_get, mask_set, segment_chroma,
@@ -206,6 +208,97 @@ def test_pbm_export_msb_first(tmp_path):
     data = p.read_bytes()
     assert data.startswith(b"P4\n8 1\n")
     assert data[-1] == 0x80
+
+
+def pbm_reference(bits):
+    """P4 bytes built pixel by pixel: each row MSB-first, padded to a byte."""
+    h, w = bits.shape
+    out = bytearray(b"P4\n%d %d\n" % (w, h))
+    for row in bits:
+        for x0 in range(0, w, 8):
+            out.append(sum(int(b) << (7 - i)
+                           for i, b in enumerate(row[x0:x0 + 8])))
+    return bytes(out)
+
+
+def with_trailing_bits_set(mask):
+    """The same pixels, with every word bit past width*height set."""
+    words = mask.words.copy()
+    n = mask.width * mask.height
+    if n % 32:
+        words[-1] |= np.uint32((0xFFFFFFFF << (n % 32)) & 0xFFFFFFFF)
+    return PackedBinaryMask(mask.width, mask.height, words)
+
+
+@pytest.mark.parametrize("height", [1, 2, 3])
+@pytest.mark.parametrize("width", range(1, 18))
+def test_pbm_export_matches_per_row_reference(tmp_path, width, height):
+    rng = np.random.default_rng(1000 * width + height)
+    p = tmp_path / "m.pbm"
+    for _ in range(4):
+        bits = rng.random((height, width)) < 0.5
+        mask = PackedBinaryMask.from_bool(bits)
+        for m in (mask, with_trailing_bits_set(mask)):
+            seg.write_pbm(m, p)
+            assert p.read_bytes() == pbm_reference(bits)
+
+
+WRITERS = {"pbm": seg.write_pbm, "words": seg.write_mask_words}
+
+
+@pytest.mark.parametrize("old_size", ["longer", "equal", "shorter"])
+@pytest.mark.parametrize("writer", WRITERS)
+def test_rewrite_over_an_existing_file_equals_a_fresh_write(
+        tmp_path, writer, old_size):
+    rng = np.random.default_rng(5)
+    mask = PackedBinaryMask.from_bool(rng.random((9, 21)) < 0.5)
+    fresh = tmp_path / "fresh"
+    WRITERS[writer](mask, fresh)
+    expected = fresh.read_bytes()
+    n = len(expected) + {"longer": 1000, "equal": 0, "shorter": -5}[old_size]
+    old = tmp_path / "old"
+    old.write_bytes(b"\xa5" * n)
+    WRITERS[writer](mask, old)
+    assert old.read_bytes() == expected
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_rewrite_to_devnull(writer):
+    # /dev/null cannot be cut, and never reads as longer than the data
+    WRITERS[writer](PackedBinaryMask.zeros(13, 5), os.devnull)
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_failed_rewrite_propagates_and_leaves_an_empty_file(
+        tmp_path, monkeypatch, writer):
+    p = tmp_path / "old"
+    p.write_bytes(b"\xa5" * 5000)
+
+    def fail(fd):
+        raise OSError("simulated failure")
+
+    monkeypatch.setattr(seg.os, "fstat", fail)
+    with pytest.raises(OSError, match="simulated failure"):
+        WRITERS[writer](PackedBinaryMask.zeros(40, 30), p)
+    monkeypatch.undo()
+    assert p.read_bytes() == b""
+
+
+def test_zero_area_mask_has_an_empty_band_and_no_region():
+    t = RgbBoxThreshold(0, 255, 0, 255, 0, 255)
+    for w, h in ((0, 5), (5, 0), (0, 0)):
+        mask = segment_rgb(Frame(w, h, np.zeros((h, w), np.uint16)), t)
+        assert len(mask.words) == 0
+        top, band = mask.band()
+        assert top == 0 and band.shape == (0, w)
+        assert locate(mask, ScanParams(1)) is None
+
+
+@pytest.mark.parametrize("w, h", [(-8, -4), (-1, 4), (4, -1)])
+def test_mask_rejects_a_negative_size(w, h):
+    with pytest.raises(ValueError,
+                       match=rf"width {w} and height {h} must not be negative"):
+        PackedBinaryMask(w, h, np.zeros(1, np.uint32))
 
 
 # -- segmentation ------------------------------------------------------------

@@ -21,8 +21,10 @@ the medians (positive when the change is better) and whether the change
 stays within the metric's bound from BENCHMARK.json. With --claim, it
 states whether the claimed metric met the rule: the change wins at least
 nine pairs in ten and the median gap exceeds the parent's interquartile
-range. Nothing is written inside either checkout except what the
-benchmark itself writes there.
+range, and the change's share of failed operations (its summed `failed`
+over its summed `attempted`) is no larger than the parent's. Each
+workload reports both sides' failed shares. Nothing is written inside
+either checkout except what the benchmark itself writes there.
 """
 
 from __future__ import annotations
@@ -78,12 +80,12 @@ def _stats(values) -> dict:
 def summarize(runs, end_to_end, claim=None) -> dict:
     """Per workload and metric, the two sides' spread and the comparison.
 
-    `runs` are run records with workload, seed, side and metrics;
-    `end_to_end` is BENCHMARK.json's list of metric declarations; `claim`
-    is (workload, metric) or None. Pairs are matched by seed, and only
-    seeds with metrics on both sides count.
+    `runs` are run records with workload, seed, side, metrics, attempted
+    and failed; `end_to_end` is BENCHMARK.json's list of metric
+    declarations; `claim` is (workload, metric) or None. Pairs are matched
+    by seed, and only seeds with metrics on both sides count.
     """
-    by_key = {(r["workload"], r["seed"], r["side"]): r["metrics"]
+    by_key = {(r["workload"], r["seed"], r["side"]): r
               for r in runs if "metrics" in r}
     out = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
@@ -92,9 +94,14 @@ def summarize(runs, end_to_end, claim=None) -> dict:
         if len(seeds) < 2:
             continue
         table = out[workload] = {}
+        recs = {side: [by_key[workload, s, side] for s in seeds]
+                for side in SIDES}
+        table["failed_share"] = {
+            side: sum(r["failed"] for r in recs[side])
+            / sum(r["attempted"] for r in recs[side]) for side in SIDES}
         for decl in end_to_end:
             name, sign = decl["name"], 1 if decl["better"] == "lower" else -1
-            values = {side: [by_key[workload, s, side][name] for s in seeds]
+            values = {side: [r["metrics"][name] for r in recs[side]]
                       for side in SIDES}
             stats = {side: _stats(values[side]) for side in SIDES}
             p, c = stats["parent"]["median"], stats["change"]["median"]
@@ -120,14 +127,18 @@ def summarize(runs, end_to_end, claim=None) -> dict:
         m = out.get(workload, {}).get(metric)
         wins, n = ((int(v) for v in m["change_wins"].split(" of "))
                    if m else (0, 0))
+        share = out[workload]["failed_share"] if m else {}
         result["claimed_gain"] = {
             "workload": workload, "metric": metric,
-            "rule": "change wins at least nine tenths of the pairs, and the "
-                    "median gap exceeds the parent's interquartile range",
+            "rule": "change wins at least nine tenths of the pairs, the "
+                    "median gap exceeds the parent's interquartile range, "
+                    "and the change's failed share is no larger",
             **({k: m[k] for k in ("change_wins", "median_gap", "parent_iqr",
                                   "change_over_parent")} if m else {}),
+            **({"failed_share": share} if m else {}),
             "met": bool(m) and wins >= math.ceil(0.9 * n)
-            and m["median_gap"] > m["parent_iqr"]}
+            and m["median_gap"] > m["parent_iqr"]
+            and share["change"] <= share["parent"]}
     result["end_to_end"] = out
     return result
 
