@@ -269,11 +269,12 @@ def _rewrite(path, data: bytes) -> None:
 
     open(path, "wb") truncates first, and on some filesystems freeing the
     old blocks costs more than the write (ext4 mounted with discard: about
-    200 us against 20 us for a VGA mask). So the file is opened without
-    O_TRUNC and its tail is cut only when it is still longer than `data`;
-    a device or a pipe, which cannot be cut, never reads as longer. If the
-    rewrite fails, a regular file is cut to zero bytes before the error
-    propagates, so new bytes are never left in front of old ones.
+    200 us, ten or more times the write of a VGA mask). So the file is
+    opened without O_TRUNC and its tail is cut only when it is still
+    longer than `data`; a device or a pipe, which cannot be cut, never
+    reads as longer. If the rewrite fails, a regular file is cut to zero
+    bytes before the error propagates, so new bytes are never left in
+    front of old ones.
     """
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:

@@ -170,6 +170,15 @@ def test_pack_without_copies_is_exact_and_independent(bits):
     assert mask_get(mask, x, y) != bits[y, x]
 
 
+def with_trailing_bits_set(mask):
+    """The same pixels, with every word bit past width*height set."""
+    words = mask.words.copy()
+    n = mask.width * mask.height
+    if n % 32:
+        words[-1] |= np.uint32((0xFFFFFFFF << (n % 32)) & 0xFFFFFFFF)
+    return PackedBinaryMask(mask.width, mask.height, words)
+
+
 @settings(max_examples=200, deadline=None)
 @given(arrays(bool, st.tuples(st.integers(1, 12), st.integers(1, 40))))
 def test_band_holds_every_set_row(bits):
@@ -177,10 +186,7 @@ def test_band_holds_every_set_row(bits):
     # set row, even with every bit past width*height set
     h = bits.shape[0]
     mask = PackedBinaryMask.from_bool(bits)
-    words = mask.words.copy()
-    words[-1] |= np.uint32((0xFFFFFFFF << (bits.size % 32)) & 0xFFFFFFFF
-                           if bits.size % 32 else 0)
-    for m in (mask, PackedBinaryMask(bits.shape[1], h, words)):
+    for m in (mask, with_trailing_bits_set(mask)):
         top, band = m.band()
         stop = top + len(band)
         assert 0 <= top <= stop <= h and band.shape[1] == bits.shape[1]
@@ -219,15 +225,6 @@ def pbm_reference(bits):
             out.append(sum(int(b) << (7 - i)
                            for i, b in enumerate(row[x0:x0 + 8])))
     return bytes(out)
-
-
-def with_trailing_bits_set(mask):
-    """The same pixels, with every word bit past width*height set."""
-    words = mask.words.copy()
-    n = mask.width * mask.height
-    if n % 32:
-        words[-1] |= np.uint32((0xFFFFFFFF << (n % 32)) & 0xFFFFFFFF)
-    return PackedBinaryMask(mask.width, mask.height, words)
 
 
 @pytest.mark.parametrize("height", [1, 2, 3])
