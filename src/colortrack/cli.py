@@ -58,10 +58,8 @@ def cmd_design(args) -> int:
     print(f"wn: {diag.wn:.6g}")
     print(f"poles: {diag.poles[0]:.6g}, {diag.poles[1]:.6g}")
     if args.csv:
-        with open(args.csv, "w") as f:
-            f.write("kp,ki,xi,wn\n")
-            f.write("%.9g,%.9g,%.9g,%.9g\n"
-                    % (gains.kp, gains.ki, diag.xi, diag.wn))
+        imaging.rewrite(args.csv, b"kp,ki,xi,wn\n%.9g,%.9g,%.9g,%.9g\n"
+                        % (gains.kp, gains.ki, diag.xi, diag.wn))
     return 0
 
 
@@ -76,7 +74,9 @@ def _pick_color(text: str) -> tuple[int, int, int]:
 def cmd_segment(args) -> int:
     s = _scenario_from_args(args)
     frame = _load_frame(args)
-    mask = segmentation.segment_rgb(frame, s.picked_threshold(args.pick))
+    with _flags("--pick"):
+        threshold = s.picked_threshold(args.pick)
+    mask = segmentation.segment_rgb(frame, threshold)
     if args.mask_out:
         segmentation.write_pbm(mask, args.mask_out)
     if args.words_out:
@@ -89,27 +89,14 @@ def cmd_segment(args) -> int:
     return 0
 
 
-def _run_and_save(scenario: Scenario, args) -> harness.TrackingMetrics:
-    rec, metrics = run_scenario(scenario)
+def cmd_run(args) -> int:
+    """track and clock: run the scenario, save it and print its report."""
+    rec, metrics = run_scenario(_scenario_from_args(args, args.base))
     if args.csv:
         harness.write_csv(rec, args.csv)
     if args.report:
         harness.write_report(metrics, args.report)
-    return metrics
-
-
-def cmd_track(args) -> int:
-    scenario = _scenario_from_args(args)
-    metrics = _run_and_save(scenario, args)
-    for line in metrics.report_lines():
-        print(line)
-    return 0
-
-
-def cmd_clock(args) -> int:
-    scenario = _scenario_from_args(args, harness.CLOCK_SCENARIO)
-    metrics = _run_and_save(scenario, args)
-    for line in metrics.report_lines()[2:]:  # radius, spread, lost frames
+    for line in metrics.report_lines()[args.first_line:]:
         print(line)
     return 0
 
@@ -119,13 +106,13 @@ def cmd_sweep(args) -> int:
     with _flags("--levels"):
         for level in args.levels:
             harness.check_field("illumination", level)
-    result = run_illumination_sweep(scenario, tuple(args.levels))
+        # the thresholds are picked at the first level
+        result = run_illumination_sweep(scenario, tuple(args.levels))
     lines = result.report_lines()
     for line in lines:
         print(line)
     if args.out:
-        with open(args.out, "w") as f:
-            f.write("\n".join(lines) + "\n")
+        imaging.rewrite(args.out, ("\n".join(lines) + "\n").encode())
     return 0
 
 
@@ -175,17 +162,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--words-out", help="write raw packed mask words")
     p.set_defaults(func=cmd_segment)
 
-    p = sub.add_parser("track", help="closed-loop tracking scenario")
-    _add_scenario_args(p)
-    p.add_argument("--csv", help="write per-frame trajectory CSV")
-    p.add_argument("--report", help="write metrics report")
-    p.set_defaults(func=cmd_track)
-
-    p = sub.add_parser("clock", help="circular motion with tracking disabled")
-    _add_scenario_args(p)
-    p.add_argument("--csv", help="write per-frame trajectory CSV")
-    p.add_argument("--report", help="write metrics report")
-    p.set_defaults(func=cmd_clock)
+    # clock prints only its radius, spread and lost frames
+    for name, about, base, first_line in (
+            ("track", "closed-loop tracking scenario", Scenario(), 0),
+            ("clock", "circular motion with tracking disabled",
+             harness.CLOCK_SCENARIO, 2)):
+        p = sub.add_parser(name, help=about)
+        _add_scenario_args(p)
+        p.add_argument("--csv", help="write per-frame trajectory CSV")
+        p.add_argument("--report", help="write metrics report")
+        p.set_defaults(func=cmd_run, base=base, first_line=first_line)
 
     p = sub.add_parser("sweep", help="illumination sweep, both segmenters")
     _add_scenario_args(p)

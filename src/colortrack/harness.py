@@ -155,11 +155,17 @@ class Scenario:
 
         The default pick is the object's colour as rendered at the
         scenario's illumination, as picking the target on screen gives it:
-        the quantized pixel value, not the nominal scene colour.
+        the quantized pixel value, not the nominal scene colour. When that
+        pixel is black in chroma mode, the error names the two fields.
         """
         if pick is None:
             lit = imaging._lit(self.object_color, self.illumination)
             pick = widen(imaging.narrow(*lit))
+            if self.mode == "chroma" and not any(pick):
+                raise ValueError(
+                    f"object_color {self.object_color} at illumination "
+                    f"{self.illumination:g}: cannot derive a chroma "
+                    "threshold from a black pick")
         return threshold_from_pick(pick, self.mode, rgb_margin=self.rgb_margin,
                                    chroma_margin=self.chroma_margin,
                                    i_min=self.i_min)
@@ -395,10 +401,8 @@ _CSV_ROW = "%.6g," * 7 + "%d,%d,%d\n"
 
 
 def write_csv(rec: TrajectoryRecord, path) -> None:
-    with open(path, "w") as f:
-        f.write(CSV_HEADER + "\n")
-        for row in rec:
-            f.write(_CSV_ROW % row)
+    imaging.rewrite(path, (CSV_HEADER + "\n" + "".join(
+        _CSV_ROW % row for row in rec)).encode())
 
 
 def read_csv(path) -> TrajectoryRecord:
@@ -416,9 +420,8 @@ def read_csv(path) -> TrajectoryRecord:
 
 
 def write_report(metrics: TrackingMetrics, path) -> None:
-    with open(path, "w") as f:
-        for line in metrics.report_lines():
-            f.write(line + "\n")
+    imaging.rewrite(path, "".join(line + "\n" for line in
+                                  metrics.report_lines()).encode())
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import re
 from dataclasses import dataclass, field
 
@@ -180,11 +182,37 @@ def render(scene: Scene, pose, intrinsics) -> Frame:
     return Frame(w, h, pixels)
 
 
+def rewrite(path, data: bytes) -> None:
+    """Make `data` the whole content of `path`, written over its old bytes.
+
+    open(path, "wb") truncates first, and on some filesystems freeing the
+    old blocks costs more than the write (ext4 mounted with discard: about
+    200 us, ten or more times the write of a VGA mask). So the file is
+    opened without O_TRUNC and its tail is cut only when it is still
+    longer than `data`; a device or a pipe, which cannot be cut, never
+    reads as longer. If the rewrite fails, a regular file is cut to zero
+    bytes before the error propagates, so new bytes are never left in
+    front of old ones.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        if os.fstat(fd).st_size > len(data):
+            os.ftruncate(fd, len(data))
+    except OSError:
+        with contextlib.suppress(OSError):  # only a regular file can be cut
+            os.ftruncate(fd, 0)
+        raise
+    finally:
+        os.close(fd)
+
+
 def write_ppm(frame: Frame, path) -> None:
     """Write a frame as binary PPM (P6, maxval 255), widening each pixel."""
-    with open(path, "wb") as f:
-        f.write(b"P6\n%d %d\n255\n" % (frame.width, frame.height))
-        f.write(frame.widened().tobytes())
+    rewrite(path, b"P6\n%d %d\n255\n" % (frame.width, frame.height)
+            + frame.widened().tobytes())
 
 
 # The Netpbm P6 header: magic, width, height and maxval in ASCII decimal,
@@ -225,8 +253,7 @@ def read_ppm(path) -> Frame:
 
 def write_rgb565(frame: Frame, path) -> None:
     """Dump raw little-endian RGB565 words, row-major, no header."""
-    with open(path, "wb") as f:
-        f.write(frame.pixels.astype("<u2").tobytes())
+    rewrite(path, frame.pixels.astype("<u2").tobytes())
 
 
 def read_rgb565(path, width: int, height: int) -> Frame:

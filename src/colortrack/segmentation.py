@@ -12,14 +12,12 @@ CMVision, IROS 2000).
 
 from __future__ import annotations
 
-import contextlib
 import functools
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .imaging import Frame, widen_channels
+from .imaging import Frame, rewrite, widen_channels
 
 WORD_BITS = 32
 
@@ -264,49 +262,22 @@ def segment_rgb(frame: Frame, t) -> PackedBinaryMask:
 segment_chroma = segment_rgb
 
 
-def _rewrite(path, data: bytes) -> None:
-    """Make `data` the whole content of `path`, written over its old bytes.
-
-    open(path, "wb") truncates first, and on some filesystems freeing the
-    old blocks costs more than the write (ext4 mounted with discard: about
-    200 us, ten or more times the write of a VGA mask). So the file is
-    opened without O_TRUNC and its tail is cut only when it is still
-    longer than `data`; a device or a pipe, which cannot be cut, never
-    reads as longer. If the rewrite fails, a regular file is cut to zero
-    bytes before the error propagates, so new bytes are never left in
-    front of old ones.
-    """
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    try:
-        view = memoryview(data)
-        while view:
-            view = view[os.write(fd, view):]
-        if os.fstat(fd).st_size > len(data):
-            os.ftruncate(fd, len(data))
-    except OSError:
-        with contextlib.suppress(OSError):  # only a regular file can be cut
-            os.ftruncate(fd, 0)
-        raise
-    finally:
-        os.close(fd)
-
-
 def write_pbm(mask: PackedBinaryMask, path) -> None:
     """Export as binary PBM (P4). PBM is MSB-first, so bits are reordered.
 
-    An existing file is rewritten in place (`_rewrite`).
+    An existing file is rewritten in place (`imaging.rewrite`).
     """
     rows = np.packbits(mask.to_bool(), axis=1)  # MSB-first, rows byte-padded
-    _rewrite(path, b"P4\n%d %d\n" % (mask.width, mask.height)
-             + rows.tobytes())
+    rewrite(path, b"P4\n%d %d\n" % (mask.width, mask.height)
+            + rows.tobytes())
 
 
 def write_mask_words(mask: PackedBinaryMask, path) -> None:
     """Dump the raw packed words, little-endian, for exact round-trips.
 
-    An existing file is rewritten in place (`_rewrite`).
+    An existing file is rewritten in place (`imaging.rewrite`).
     """
-    _rewrite(path, mask.words.astype("<u4").tobytes())
+    rewrite(path, mask.words.astype("<u4").tobytes())
 
 
 def read_mask_words(path, width: int, height: int) -> PackedBinaryMask:

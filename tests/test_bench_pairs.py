@@ -116,3 +116,28 @@ def test_failed_share_per_workload_and_in_the_claim():
     assert s["claimed_gain"]["failed_share"] == share
     assert s["claimed_gain"]["change_wins"] == "10 of 10"
     assert not s["claimed_gain"]["met"]  # the change's share is larger
+
+
+@pytest.mark.parametrize("claim", ["step_track", "step_track:frame_p50",
+                                   "offline:frame_ms_p50", ":frame_ms_p50",
+                                   "step_track:frame_ms_p50:x"])
+def test_bad_claim_exits_before_any_run(claim, tmp_path, monkeypatch, capsys):
+    def no_run(*args):
+        raise AssertionError("a benchmark run started")
+
+    monkeypatch.setattr(bench_pairs, "run_once", no_run)
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", str(tmp_path), "--change",
+                          str(tmp_path), "--seeds", "1-2", "--out", str(out),
+                          "--claim", claim])
+    assert exc.value.code == 2
+    assert f"--claim {claim!r}: expected WORKLOAD:METRIC" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_claim_names_are_those_of_the_benchmark():
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert bench_pairs.parse_claim("offline_vga:frames_per_s", bench) == (
+        "offline_vga", "frames_per_s")

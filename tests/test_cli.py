@@ -227,17 +227,52 @@ def test_degenerate_sampled_plant_exit_code(capsys, tmp_path, item):
     assert not csv.exists()
 
 
-@pytest.mark.parametrize("item", ["illumination=0", "illumination=0.02",
-                                  "object_color=0,0,0"])
-def test_black_pick_exit_code(capsys, tmp_path, item):
-    # the object renders black, so the chroma pick has no chromaticity
+@pytest.mark.parametrize("item, color, level", [
+    ("illumination=0", "(230, 120, 30)", "0"),
+    ("illumination=0.02", "(230, 120, 30)", "0.02"),
+    ("object_color=0,0,0", "(0, 0, 0)", "1"),
+    ("object_color=3,3,3", "(3, 3, 3)", "1"),  # quantizes to word 0
+], ids=["illumination=0", "illumination=0.02", "object_color=0,0,0",
+        "object_color=3,3,3"])
+def test_black_pick_exit_code(capsys, tmp_path, item, color, level):
+    # the object renders black, so the chroma pick has no chromaticity; the
+    # error names both fields that make the pick
     csv = tmp_path / "run.csv"
     code, out, err = run(capsys, "track", "--set", item, "--csv", str(csv))
     assert code == 1
-    assert err == ("error: cannot derive a chroma threshold from a black "
-                   "pick\n")
+    assert err == (f"error: object_color {color} at illumination {level}: "
+                   "cannot derive a chroma threshold from a black pick\n")
     assert out == ""
     assert not csv.exists()
+
+
+def test_black_pick_flag_is_named(capsys, tmp_path):
+    img = tmp_path / "still.ppm"
+    imaging.write_ppm(Frame.filled(8, 8, 0xF800), img)
+    code, out, err = run(capsys, "segment", str(img), "--pick", "0,0,0")
+    assert (code, out) == (1, "")
+    assert err == ("error: --pick: cannot derive a chroma threshold from a "
+                   "black pick\n")
+    # the first level is the one the sweep picks at
+    sweep = tmp_path / "sweep.txt"
+    code, out, err = run(capsys, "sweep", "--levels", "0.0", "0.5",
+                         "--out", str(sweep))
+    assert (code, out) == (1, "")
+    assert err == ("error: --levels: object_color (230, 120, 30) at "
+                   "illumination 0: cannot derive a chroma threshold from "
+                   "a black pick\n")
+    assert not sweep.exists()
+
+
+def test_black_pick_in_rgb_mode_still_runs(capsys, tmp_path):
+    img = tmp_path / "still.ppm"
+    imaging.write_ppm(Frame.filled(8, 8, 0), img)
+    code, out, _ = run(capsys, "segment", str(img), "--pick", "0,0,0",
+                       "--set", "mode=rgb")
+    assert code == 0 and out.startswith("region: x 0..7, y 0..7")
+    code, out, _ = run(capsys, "track", "--set", "mode=rgb",
+                       "--set", "illumination=0", "--set", "duration=0.5")
+    assert code == 0 and "lost_frames: 0" in out
 
 
 @pytest.mark.parametrize("argv, flag", [

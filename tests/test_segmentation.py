@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from colortrack import harness, imaging
 from colortrack import segmentation as seg
 from colortrack.harness import Scenario
 from colortrack.imaging import Frame, widen
@@ -240,29 +241,45 @@ def test_pbm_export_matches_per_row_reference(tmp_path, width, height):
             assert p.read_bytes() == pbm_reference(bits)
 
 
-WRITERS = {"pbm": seg.write_pbm, "words": seg.write_mask_words}
+# Every writer in the library, each with a fixed object to write; all of
+# them write through imaging.rewrite.
+_FRAME = Frame(21, 9, np.random.default_rng(5).integers(0, 1 << 16, (9, 21)))
+_MASK = PackedBinaryMask.from_bool(np.random.default_rng(5).random((9, 21))
+                                   < 0.5)
+_RECORD = harness.TrajectoryRecord([
+    harness.TrajectoryRow(0.0, 1.5, -2.25, 0.5, -0.75, 0.0, 0.0, 161, 118,
+                          True),
+    harness.TrajectoryRow(0.1, np.nan, np.nan, 0.5, -0.75, 0.2, -0.1, -1, -1,
+                          False)])
+_METRICS = harness.TrackingMetrics(None, 5.25, 87.5, 0.125, 1)
+WRITERS = {
+    "pbm": lambda p: seg.write_pbm(_MASK, p),
+    "words": lambda p: seg.write_mask_words(_MASK, p),
+    "ppm": lambda p: imaging.write_ppm(_FRAME, p),
+    "rgb565": lambda p: imaging.write_rgb565(_FRAME, p),
+    "csv": lambda p: harness.write_csv(_RECORD, p),
+    "report": lambda p: harness.write_report(_METRICS, p),
+}
 
 
 @pytest.mark.parametrize("old_size", ["longer", "equal", "shorter"])
 @pytest.mark.parametrize("writer", WRITERS)
 def test_rewrite_over_an_existing_file_equals_a_fresh_write(
         tmp_path, writer, old_size):
-    rng = np.random.default_rng(5)
-    mask = PackedBinaryMask.from_bool(rng.random((9, 21)) < 0.5)
     fresh = tmp_path / "fresh"
-    WRITERS[writer](mask, fresh)
+    WRITERS[writer](fresh)
     expected = fresh.read_bytes()
     n = len(expected) + {"longer": 1000, "equal": 0, "shorter": -5}[old_size]
     old = tmp_path / "old"
     old.write_bytes(b"\xa5" * n)
-    WRITERS[writer](mask, old)
+    WRITERS[writer](old)
     assert old.read_bytes() == expected
 
 
 @pytest.mark.parametrize("writer", WRITERS)
 def test_rewrite_to_devnull(writer):
     # /dev/null cannot be cut, and never reads as longer than the data
-    WRITERS[writer](PackedBinaryMask.zeros(13, 5), os.devnull)
+    WRITERS[writer](os.devnull)
 
 
 @pytest.mark.parametrize("writer", WRITERS)
@@ -274,9 +291,9 @@ def test_failed_rewrite_propagates_and_leaves_an_empty_file(
     def fail(fd):
         raise OSError("simulated failure")
 
-    monkeypatch.setattr(seg.os, "fstat", fail)
+    monkeypatch.setattr(os, "fstat", fail)
     with pytest.raises(OSError, match="simulated failure"):
-        WRITERS[writer](PackedBinaryMask.zeros(40, 30), p)
+        WRITERS[writer](p)
     monkeypatch.undo()
     assert p.read_bytes() == b""
 

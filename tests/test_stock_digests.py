@@ -140,3 +140,14 @@ def _sha(data: bytes) -> str:
 def test_stock_output_digests(case, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert produce(case) == DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_stock_outputs_written_over_longer_files(case, tmp_path, monkeypatch):
+    # every output file already holds 1 MiB of other bytes
+    monkeypatch.chdir(tmp_path)
+    for argv in CASES[case]:
+        for flag, value in zip(argv, argv[1:]):
+            if flag in OUTPUT_FLAGS:
+                (tmp_path / value).write_bytes(b"\xa5" * (1 << 20))
+    assert produce(case) == DIGESTS[case]

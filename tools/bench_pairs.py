@@ -22,7 +22,9 @@ stays within the metric's bound from BENCHMARK.json. With --claim, it
 states whether the claimed metric met the rule: the change wins at least
 nine pairs in ten and the median gap exceeds the parent's interquartile
 range, and the change's share of failed operations (its summed `failed`
-over its summed `attempted`) is no larger than the parent's. Each
+over its summed `attempted`) is no larger than the parent's; a claim that
+names no workload and end-to-end metric of BENCHMARK.json exits with
+status 2 before any run. Each
 workload reports both sides' failed shares. Nothing is written inside
 either checkout except what the benchmark itself writes there.
 """
@@ -52,6 +54,19 @@ def parse_seeds(text: str) -> list[int]:
 def order(seed: int) -> tuple[str, str]:
     """The sides in the order they run: the parent first on odd seeds."""
     return SIDES if seed % 2 else SIDES[::-1]
+
+
+def parse_claim(text: str, bench: dict) -> tuple[str, str]:
+    """'WORKLOAD:METRIC', checked against BENCHMARK.json's names."""
+    workload, _, metric = text.partition(":")
+    workloads = [w["name"] for w in bench["workloads"]]
+    metrics = [d["name"] for d in bench["end_to_end"]]
+    if workload not in workloads or metric not in metrics:
+        raise ValueError(
+            f"--claim {text!r}: expected WORKLOAD:METRIC with WORKLOAD one "
+            f"of {', '.join(workloads)} and METRIC one of "
+            f"{', '.join(metrics)}")
+    return workload, metric
 
 
 def run_once(checkout: Path, command, workload, seed, seconds) -> dict:
@@ -152,7 +167,10 @@ def main(argv=None) -> int:
     p.add_argument("--claim", help="WORKLOAD:METRIC")
     args = p.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    claim = tuple(args.claim.split(":")) if args.claim else None
+    try:  # before any run, so a bad claim costs no benchmark time
+        claim = parse_claim(args.claim, bench) if args.claim else None
+    except ValueError as e:
+        p.error(str(e))
     checkouts = {"parent": args.parent.resolve(),
                  "change": args.change.resolve()}
     runs = []
