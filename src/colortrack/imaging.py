@@ -185,11 +185,11 @@ def render(scene: Scene, pose, intrinsics) -> Frame:
 def rewrite(path, data: bytes) -> None:
     """Make `data` the whole content of `path`, written over its old bytes.
 
-    open(path, "wb") truncates first, and on some filesystems freeing the
-    old blocks costs more than the write (ext4 mounted with discard: about
-    200 us, ten or more times the write of a VGA mask). So the file is
-    opened without O_TRUNC and its tail is cut only when it is still
-    longer than `data`; a device or a pipe, which cannot be cut, never
+    Opening with mode "wb" truncates first, and on some filesystems
+    freeing the old blocks costs more than the write (ext4 mounted with
+    discard: about 200 us, ten or more times the write of a VGA mask). So
+    the file is opened without O_TRUNC and its tail is cut only when it is
+    still longer than `data`; a device or a pipe, which cannot be cut, never
     reads as longer. If the rewrite fails, a regular file is cut to zero
     bytes before the error propagates, so new bytes are never left in
     front of old ones.
