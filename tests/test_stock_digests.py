@@ -4,8 +4,9 @@ Each case runs the CLI in a fresh directory and hashes what it writes: the
 files it names and its stdout. A change that claims to keep every output
 byte-identical is checked here, not by a manual diff of two output trees.
 The digests were taken from the code before the per-frame cost cuts of
-the render box, the mask packing, `pi_step` and the component pass, and
-they hold on any host with IEEE float64 arithmetic.
+the render box, the mask packing, `pi_step` and the component pass (the
+`segment_words` case's before the byte-pair decode of `narrow_channels`),
+and they hold on any host with IEEE float64 arithmetic.
 """
 
 import contextlib
@@ -29,7 +30,7 @@ STILL = ("--set", "motion_az=3.3", "--set", "motion_el=-2.1",
 
 # case -> the commands it runs, in order; every file a command names with one
 # of OUTPUT_FLAGS is hashed, and so is its stdout.
-OUTPUT_FLAGS = ("--csv", "--report", "--out", "--mask-out")
+OUTPUT_FLAGS = ("--csv", "--report", "--out", "--mask-out", "--words-out")
 CASES = {
     "track": [("track", "--csv", "track.csv", "--report", "track.txt")],
     "track_corner": [("track", *CORNER, "--csv", "corner.csv",
@@ -43,6 +44,11 @@ CASES = {
         ("segment", "still.ppm", "--pick", "230,120,30",
          "--mask-out", "mask.pbm")]
        for kind in ("disk", "triangle", "rectangle")},
+    # a dimmed still, so that the object's channels are not the stock ones
+    "segment_words": [
+        ("render", *STILL, "--set", "illumination=0.61", "--out", "dim.ppm"),
+        ("segment", "dim.ppm", "--pick", "140,73,18",
+         "--words-out", "mask.words")],
 }
 
 DIGESTS = {
@@ -89,6 +95,16 @@ DIGESTS = {
             "9f3c5e13db7d1fd345048977c107a8d2b3720e55b20b631f5e4dba59a81c595e",
         "still.ppm":
             "cbb253a5471b3371e2f7ba7b4299f72b8e900df422fe9f944924e487e1d31664",
+    },
+    "segment_words": {
+        "dim.ppm":
+            "22afec7f1ce9307596d5bb40c7b552032534d9a5e9eca17c1bc7fcb8d52890bb",
+        "mask.words":
+            "9b90adab3306865d7c357bf0516ad17e8bda95d8b6dbb2b697963304aa822a62",
+        "render stdout":
+            "8217aa1e7cf4e57d3e358225ac9306b8d296351441dcc08fbd4ce6af387d082c",
+        "segment stdout":
+            "211c945062b640a92444c678c74e7595db3b1a02f6a857f509cc1dee292a40aa",
     },
     "sweep": {
         "sweep stdout":
