@@ -56,12 +56,28 @@ def widen_channels(words: np.ndarray) -> np.ndarray:
 
 
 def narrow_channels(rgb: np.ndarray) -> np.ndarray:
-    """Vectorized narrow: uint8 array with trailing axis of 3 -> uint16 words."""
-    rgb = np.asarray(rgb)
-    r = rgb[..., 0].astype(np.uint16) >> 3
-    g = rgb[..., 1].astype(np.uint16) >> 2
-    b = rgb[..., 2].astype(np.uint16) >> 3
-    return (r << 11) | (g << 5) | b
+    """Vectorized narrow: uint8 array with trailing axis of 3 -> uint16 words.
+
+    Each pixel's bytes are read in pairs, through two little-endian uint16
+    views of the C-contiguous bytes whose stride is the pixel's: at byte
+    offset 0 an element is r | g << 8, at offset 1 it is g | b << 8. The
+    (r, g) view is copied once and the word is built in place from it and
+    the (g, b) view, so a frame costs two strided reads and two full-size
+    temporaries, not a read, a copy and a shift per channel.
+    """
+    rgb = np.ascontiguousarray(rgb, dtype=np.uint8)
+    shape, strides = rgb.shape[:-1], rgb.strides[:-1]
+    if rgb.size == 0:  # a view needs at least one element's bytes
+        return np.zeros(shape, np.uint16)
+    rg = np.ndarray(shape, "<u2", rgb, 0, strides).astype(np.uint16)
+    word = rg << 8
+    word &= 0xF800  # r >> 3 in bits 11-15
+    rg >>= 5
+    rg &= 0x07E0  # g >> 2 in bits 5-10
+    word |= rg
+    np.right_shift(np.ndarray(shape, "<u2", rgb, 1, strides), 11, out=rg)
+    word |= rg  # b >> 3 in bits 0-4
+    return word
 
 
 @dataclass(frozen=True)
