@@ -6,6 +6,7 @@ import argparse
 import math
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 
 from . import config as cfgmod
 from . import harness, imaging, segmentation
@@ -106,6 +107,9 @@ def cmd_sweep(args) -> int:
     with _flags("--levels"):
         for level in args.levels:
             harness.check_field("illumination", level)
+    # a colour that renders black in full light is at fault at any level
+    replace(scenario, illumination=1.0, mode="chroma").picked_threshold()
+    with _flags("--levels"):
         # the thresholds are picked at the first level
         result = run_illumination_sweep(scenario, tuple(args.levels))
     lines = result.report_lines()

@@ -63,7 +63,8 @@ def narrow_channels(rgb: np.ndarray) -> np.ndarray:
     offset 0 an element is r | g << 8, at offset 1 it is g | b << 8. The
     (r, g) view is copied once and the word is built in place from it and
     the (g, b) view, so a frame costs two strided reads and two full-size
-    temporaries, not a read, a copy and a shift per channel.
+    temporaries. Naming the byte order "<u2" makes the pairing the same on
+    any host.
     """
     rgb = np.ascontiguousarray(rgb, dtype=np.uint8)
     shape, strides = rgb.shape[:-1], rgb.strides[:-1]

@@ -264,6 +264,19 @@ def test_black_pick_flag_is_named(capsys, tmp_path):
     assert not sweep.exists()
 
 
+@pytest.mark.parametrize("levels", [[], ["--levels", "0.5", "0.2"]],
+                         ids=["default-levels", "dim-levels"])
+def test_black_color_sweep_names_no_flag(capsys, tmp_path, levels):
+    # a colour that is black in full light is at fault whatever the levels
+    sweep = tmp_path / "sweep.txt"
+    code, out, err = run(capsys, "sweep", "--set", "object_color=0,0,0",
+                         *levels, "--out", str(sweep))
+    assert (code, out) == (1, "")
+    assert err == ("error: object_color (0, 0, 0) at illumination 1: cannot "
+                   "derive a chroma threshold from a black pick\n")
+    assert not sweep.exists()
+
+
 def test_black_pick_in_rgb_mode_still_runs(capsys, tmp_path):
     img = tmp_path / "still.ppm"
     imaging.write_ppm(Frame.filled(8, 8, 0), img)

@@ -69,6 +69,47 @@ def test_vectorized_codec_matches_scalar():
     assert np.array_equal(imaging.narrow_channels(wide), words)
 
 
+def _narrow_oracle(rgb):
+    """The RGB565 word of each pixel, by the integer formula."""
+    r, g, b = (rgb[..., i].astype(np.int32) for i in range(3))
+    return (r >> 3) << 11 | (g >> 2) << 5 | b >> 3
+
+
+def _consecutive_colors(first, count):
+    """RGB888 colours first .. first + count - 1, red in the top byte."""
+    i = np.arange(first, first + count, dtype=np.uint32)
+    return np.stack([i >> 16, (i >> 8) & 0xFF, i & 0xFF], -1).astype(np.uint8)
+
+
+def test_narrow_channels_exhaustive():
+    # every (r, g, b) triple, 2^20 at a time
+    for first in range(0, 1 << 24, 1 << 20):
+        rgb = _consecutive_colors(first, 1 << 20)
+        words = imaging.narrow_channels(rgb)
+        assert words.dtype == np.uint16
+        assert np.array_equal(words, _narrow_oracle(rgb))
+
+
+_PIXELS = np.random.default_rng(3).integers(0, 256, (6, 8, 3), np.uint8)
+
+
+@pytest.mark.parametrize("rgb", [
+    _PIXELS[:, ::2],
+    np.asfortranarray(_PIXELS),
+    _PIXELS.reshape(-1, 3),
+    _PIXELS.reshape(2, 3, 8, 3),
+    _PIXELS[2, 5],
+    np.zeros((0, 3), np.uint8),
+    np.zeros((0, 0, 3), np.uint8),
+], ids=["strided", "fortran", "flat", "leading-axes", "one-pixel",
+        "no-pixels", "no-rows"])
+def test_narrow_channels_input_shapes(rgb):
+    words = imaging.narrow_channels(rgb)
+    assert words.dtype == np.uint16 and words.dtype.isnative
+    assert words.shape == rgb.shape[:-1]
+    assert np.array_equal(words, _narrow_oracle(rgb))
+
+
 def test_frame_shape_validation():
     with pytest.raises(ValueError):
         Frame(4, 4, np.zeros((3, 4), np.uint16))
@@ -254,6 +295,24 @@ def test_ppm_header_comments(tmp_path):
     p.write_bytes(b"P6\n# a comment\n2 1\n255\n" + b"\x00" * 6)
     frame = imaging.read_ppm(p)
     assert frame.width == 2 and frame.height == 1
+
+
+def test_ppm_million_colors(tmp_path):
+    rgb = _consecutive_colors(0x5A5A5A, 1 << 20).reshape(1024, 1024, 3)
+    p = tmp_path / "colors.ppm"
+    p.write_bytes(b"P6\n1024 1024\n255\n" + rgb.tobytes())
+    assert np.array_equal(imaging.read_ppm(p).pixels, _narrow_oracle(rgb))
+
+
+@pytest.mark.parametrize("width", [1, 3, 7, 641])
+def test_ppm_odd_widths_after_a_comment(tmp_path, width):
+    rgb = np.random.default_rng(width).integers(0, 256, (5, width, 3),
+                                                np.uint8)
+    p = tmp_path / "odd.ppm"
+    p.write_bytes(b"P6\n# odd width\n%d 5\n255\n" % width + rgb.tobytes())
+    frame = imaging.read_ppm(p)
+    assert (frame.width, frame.height) == (width, 5)
+    assert np.array_equal(frame.pixels, _narrow_oracle(rgb))
 
 
 def test_ppm_truncated(tmp_path):
