@@ -106,7 +106,7 @@ def cmd_sweep(args) -> int:
     scenario = _scenario_from_args(args)
     with _flags("--levels"):
         for level in args.levels:
-            harness.check_field("illumination", level)
+            replace(scenario, illumination=level)
     # a colour that renders black in full light is at fault at any level
     replace(scenario, illumination=1.0, mode="chroma").picked_threshold()
     with _flags("--levels"):

@@ -1,18 +1,19 @@
 """Flat key = value scenario configuration files.
 
-The file is UTF-8 text. Lines are `key = value`; blank lines and `#`
-comments are ignored. CLI flags override file values. The keys are the
-fields of `Scenario`, with each nested dataclass flattened to one key per
-field; unknown keys are rejected to catch typos. A value is parsed by the
-type of the field's default, and a tuple default is parsed as an `r,g,b`
-colour.
+The file is UTF-8 text; one byte-order mark at its start is dropped. Lines
+are `key = value`; blank lines and `#` comments are ignored. CLI flags
+override file values. The keys are the fields of `Scenario`, with each
+nested dataclass flattened to one key per field; unknown keys are rejected
+to catch typos. A value is parsed by the type of the field's default, and a
+tuple default is parsed as an `r,g,b` colour. Once every value is parsed,
+the values are checked against `harness.SCENARIO_RULES`.
 """
 
 from __future__ import annotations
 
 from dataclasses import fields, replace
 
-from .harness import Scenario, check_field, check_frames, check_saturation
+from .harness import SCENARIO_RULES, Scenario
 
 # Key prefix of each nested dataclass field; ObjectMotion.kind is `motion`.
 _PREFIXES = {"intrinsics": "", "pan_model": "pan_", "tilt_model": "tilt_",
@@ -37,15 +38,11 @@ def _key_table() -> dict:
 
 KEYS = _key_table()
 
-# Rules on two top-level keys; an error names those of them that were given.
-_JOINT_RULES = ((("u_min", "u_max"), check_saturation),
-                (("duration", "sample_time"), check_frames))
-
 
 def parse_config(path) -> dict:
     values = {}
     with open(path, "rb") as f:
-        data = f.read()
+        data = f.read().removeprefix(b"\xef\xbb\xbf")
     # bytes.splitlines breaks at \n, \r and \r\n, as text mode reads lines
     for lineno, raw in enumerate(data.splitlines(), 1):
         try:
@@ -85,20 +82,17 @@ def scenario_from_config(values: dict,
         try:
             value = (parse_color(text) if isinstance(default, tuple)
                      else type(default)(text))
-            if outer is None:
-                check_field(name, value)
         except ValueError as e:
             raise ValueError(f"config key {key!r}: {e}") from None
         if outer is None:
             top[name] = value
         else:
             nested.setdefault(outer, {})[name] = value
-    for names, check in _JOINT_RULES:
-        try:
-            check(*(top.get(k, getattr(base, k)) for k in names))
-        except ValueError as e:
+    # the first broken rule names the keys given for its fields
+    for names, ok, error in SCENARIO_RULES:
+        if not ok(*(top.get(name, getattr(base, name)) for name in names)):
             keys = ", ".join(repr(k) for k in values if k in names)
-            raise ValueError(f"config key {keys}: {e}") from None
+            raise ValueError(f"config key {keys}: {error}")
     for outer, changes in nested.items():
         try:
             top[outer] = replace(getattr(base, outer), **changes)

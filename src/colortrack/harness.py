@@ -6,6 +6,7 @@ import math
 from array import array
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
+from numbers import Real
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -27,51 +28,45 @@ SCENARIO_KINDS = ("step_track", "clock_motion")
 
 SWEEP_LEVELS = (1.0, 0.8, 0.6, 0.4)  # illumination levels, brightest first
 
-# Scenario fields with a rule of their own: (test, what the value must be).
-_FIELD_RULES = {
-    "kind": (lambda v: v in SCENARIO_KINDS,
-             "one of " + ", ".join(SCENARIO_KINDS)),
-    "duration": (lambda v: math.isfinite(v) and v > 0, "finite and > 0"),
-    "sample_time": (lambda v: math.isfinite(v) and v > 0, "finite and > 0"),
-    "object_kind": (lambda v: v in SHAPE_KINDS,
-                    "one of " + ", ".join(SHAPE_KINDS)),
-    "object_size": (lambda v: math.isfinite(v) and v > 0, "finite and > 0"),
-    "illumination": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
-    "mode": (lambda v: v in THRESHOLD_MODES,
-             "one of " + ", ".join(THRESHOLD_MODES)),
-    "rgb_margin": (lambda v: v >= 0, ">= 0"),
-    "chroma_margin": (lambda v: v >= 0, ">= 0"),
-    "i_min": (lambda v: v >= 1, ">= 1"),
-    "min_width": (lambda v: v >= 1, ">= 1"),
-    # Each axis's command starts at 0, so the limits must bracket it.
-    "u_min": (lambda v: v <= 0, "<= 0"),
-    "u_max": (lambda v: v >= 0, ">= 0"),
-}
+
+def _positive(v) -> bool:
+    return math.isfinite(v) and v > 0
 
 
-def check_field(name: str, value) -> None:
-    """Raise a ValueError naming the Scenario field if value breaks its rule."""
-    if name in _FIELD_RULES:
-        ok, must = _FIELD_RULES[name]
-        if not ok(value):
-            raise ValueError(f"{name} must be {must}")
+def _color(v) -> bool:
+    return isinstance(v, Sequence) and len(v) == 3 and all(
+        isinstance(c, Real) and 0 <= c <= 255 for c in v)
 
 
-def check_saturation(u_min: float, u_max: float) -> None:
-    """Raise a ValueError unless the command limits leave room to move."""
-    if not u_min < u_max:
-        raise ValueError("u_min must be < u_max")
-
-
-def check_frames(duration: float, sample_time: float) -> None:
-    """Raise a ValueError unless duration is a finite number of frames >= 1."""
-    frames = duration / sample_time
-    if not math.isfinite(frames):
-        raise ValueError("duration must be a finite number of frames "
-                         "of sample_time")
-    if round(frames) < 1:
-        raise ValueError("duration must round to at least one frame "
-                         "of sample_time")
+# Every Scenario rule: (fields, test of their values, error). A field's own
+# rule comes before any rule that divides by it.
+SCENARIO_RULES = (
+    (("kind",), SCENARIO_KINDS.__contains__,
+     "kind must be one of " + ", ".join(SCENARIO_KINDS)),
+    (("duration",), _positive, "duration must be finite and > 0"),
+    (("sample_time",), _positive, "sample_time must be finite and > 0"),
+    *(((name,), _color, f"{name} must be three real numbers in [0, 255]")
+      for name in ("background", "object_color")),
+    (("object_kind",), SHAPE_KINDS.__contains__,
+     "object_kind must be one of " + ", ".join(SHAPE_KINDS)),
+    (("object_size",), _positive, "object_size must be finite and > 0"),
+    (("illumination",), lambda v: 0.0 <= v <= 1.0,
+     "illumination must be in [0, 1]"),
+    (("mode",), THRESHOLD_MODES.__contains__,
+     "mode must be one of " + ", ".join(THRESHOLD_MODES)),
+    (("rgb_margin",), lambda v: v >= 0, "rgb_margin must be >= 0"),
+    (("chroma_margin",), lambda v: v >= 0, "chroma_margin must be >= 0"),
+    (("i_min",), lambda v: v >= 1, "i_min must be >= 1"),
+    (("min_width",), lambda v: v >= 1, "min_width must be >= 1"),
+    # each axis's command starts at 0, so the limits must bracket it
+    (("u_min",), lambda v: v <= 0, "u_min must be <= 0"),
+    (("u_max",), lambda v: v >= 0, "u_max must be >= 0"),
+    (("u_min", "u_max"), lambda lo, hi: lo < hi, "u_min must be < u_max"),
+    (("duration", "sample_time"), lambda d, t: math.isfinite(d / t),
+     "duration must be a finite number of frames of sample_time"),
+    (("duration", "sample_time"), lambda d, t: round(d / t) >= 1,
+     "duration must round to at least one frame of sample_time"),
+)
 
 
 @dataclass(frozen=True)
@@ -131,10 +126,9 @@ class Scenario:
     u_max: float = 45.0
 
     def __post_init__(self):
-        for name in _FIELD_RULES:
-            check_field(name, getattr(self, name))
-        check_saturation(self.u_min, self.u_max)
-        check_frames(self.duration, self.sample_time)
+        for names, ok, error in SCENARIO_RULES:
+            if not ok(*(getattr(self, name) for name in names)):
+                raise ValueError(error)
 
     @property
     def n_frames(self) -> int:
@@ -220,12 +214,9 @@ class TrajectoryRecord(Sequence):
         return len(self._values) // _ROW_WIDTH
 
     def __getitem__(self, i: int) -> TrajectoryRow:
-        n = len(self)
-        i = i + n if i < 0 else i
-        if not 0 <= i < n:
-            raise IndexError("trajectory row index out of range")
-        k = i * _ROW_WIDTH
-        return _row_from(self._values[k:k + _ROW_WIDTH])
+        i = range(len(self))[i]  # negative from the end; IndexError past it
+        v = self._values[i * _ROW_WIDTH:(i + 1) * _ROW_WIDTH]
+        return TrajectoryRow(*v[:7], int(v[7]), int(v[8]), bool(v[9]))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TrajectoryRecord):
@@ -239,10 +230,6 @@ class TrajectoryRecord(Sequence):
         """One field of every row, as a float array."""
         j = TrajectoryRow._fields.index(name)
         return np.frombuffer(self._values)[j::_ROW_WIDTH].copy()
-
-
-def _row_from(v) -> TrajectoryRow:
-    return TrajectoryRow(*v[:7], int(v[7]), int(v[8]), bool(v[9]))
 
 
 @dataclass(frozen=True, slots=True)
@@ -325,7 +312,7 @@ def run_scenario(s: Scenario) -> tuple[TrajectoryRecord, TrackingMetrics]:
 
 def settling_time(rec: TrajectoryRecord, band: float) -> Optional[float]:
     """Earliest time after which both error components stay within the band."""
-    if band <= 0:
+    if not band > 0:  # NaN too
         raise ValueError("band must be > 0")
     if not len(rec):
         return None
@@ -403,20 +390,6 @@ _CSV_ROW = "%.6g," * 7 + "%d,%d,%d\n"
 def write_csv(rec: TrajectoryRecord, path) -> None:
     imaging.rewrite(path, (CSV_HEADER + "\n" + "".join(
         _CSV_ROW % row for row in rec)).encode())
-
-
-def read_csv(path) -> TrajectoryRecord:
-    rec = TrajectoryRecord()
-    with open(path) as f:
-        header = f.readline().strip()
-        if header != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header: {header!r}")
-        for line in f:
-            v = line.strip().split(",")
-            if len(v) != _ROW_WIDTH:
-                raise ValueError(f"bad CSV row: {line!r}")
-            rec.append(_row_from([*map(float, v[:7]), *map(int, v[7:])]))
-    return rec
 
 
 def write_report(metrics: TrackingMetrics, path) -> None:

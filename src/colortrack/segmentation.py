@@ -275,16 +275,7 @@ def write_pbm(mask: PackedBinaryMask, path) -> None:
 def write_mask_words(mask: PackedBinaryMask, path) -> None:
     """Dump the raw packed words, little-endian, for exact round-trips.
 
-    An existing file is rewritten in place (`imaging.rewrite`).
+    An existing file is rewritten in place (`imaging.rewrite`). Read a dump
+    back with `PackedBinaryMask(w, h, np.fromfile(path, "<u4"))`.
     """
     rewrite(path, mask.words.astype("<u4").tobytes())
-
-
-def read_mask_words(path, width: int, height: int) -> PackedBinaryMask:
-    with open(path, "rb") as f:
-        data = f.read()
-    n = _word_count(width, height)
-    if len(data) != 4 * n:
-        raise ValueError(f"mask dump is {len(data)} bytes, expected {4 * n}")
-    words = np.frombuffer(data, dtype="<u4").astype(np.uint32)
-    return PackedBinaryMask(width, height, words)

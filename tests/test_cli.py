@@ -157,8 +157,8 @@ def test_clock_keeps_config_motion_center(capsys, tmp_path):
     code, _, _ = run(capsys, "clock", "--set", "motion_az=5",
                      "--set", "duration=3.82", "--csv", str(csv))
     assert code == 0
-    rows = [r for r in harness.read_csv(csv) if r.found]
-    mean_cx = sum(r.cx for r in rows) / len(rows)
+    rows = np.genfromtxt(csv, delimiter=",", names=True)
+    mean_cx = rows["cx"][rows["found"] == 1].mean()
     assert abs(mean_cx - (160 + 5 * 8)) <= 2.0  # 5 deg right at 8 px/deg
 
 

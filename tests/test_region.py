@@ -9,8 +9,7 @@ from colortrack.plant import CameraPose
 from colortrack import region
 from colortrack.region import (RegionDescriptor, ScanParams, _runs,
                                find_initial_run, locate, trace_contour)
-from colortrack.segmentation import (PackedBinaryMask, read_mask_words,
-                                     segment_rgb)
+from colortrack.segmentation import PackedBinaryMask, segment_rgb
 
 
 def mask_from(bits):
@@ -472,7 +471,7 @@ def test_shared_encoding_gives_same_results_property(bits, min_width, pick,
 
 def with_trailing_bits(mask):
     """The same mask built from its words with every bit past width*height
-    set, as PackedBinaryMask(w, h, words) and read_mask_words accept."""
+    set, as PackedBinaryMask(w, h, words) accepts."""
     words = mask.words.copy()
     used = mask.width * mask.height % 32
     if used:
@@ -533,15 +532,12 @@ def test_band_encoding_property(bits, min_width):
     assert_band_encoding_exact(bits, min_width)
 
 
-def test_bits_past_the_mask_are_never_read(tmp_path):
+def test_bits_past_the_mask_are_never_read():
     # 5x5: the one word's bits 25-31 are past the mask
     bits = np.zeros((5, 5), dtype=bool)
     bits[3:, 1:4] = True
     for b in (bits, np.zeros_like(bits)):
-        path = tmp_path / "mask.bin"
-        path.write_bytes(with_trailing_bits(mask_from(b)).words
-                         .astype("<u4").tobytes())
-        read = read_mask_words(path, 5, 5)
+        read = with_trailing_bits(mask_from(b))
         assert read.words[-1] >> 25 == 0x7F
         assert locate(read, ScanParams(1), fill_count=True) == \
             locate(mask_from(b), ScanParams(1), fill_count=True)

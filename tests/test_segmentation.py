@@ -196,17 +196,6 @@ def test_band_holds_every_set_row(bits):
     assert (len(mask.band()[1]) == 0) == (not bits.any())
 
 
-def test_mask_words_file_round_trip(tmp_path):
-    rng = np.random.default_rng(2)
-    mask = PackedBinaryMask.from_bool(rng.random((10, 13)) < 0.4)
-    p = tmp_path / "mask.words"
-    seg.write_mask_words(mask, p)
-    back = seg.read_mask_words(p, 13, 10)
-    assert np.array_equal(back.words, mask.words)
-    with pytest.raises(ValueError, match="expected"):
-        seg.read_mask_words(p, 13, 20)
-
-
 def test_pbm_export_msb_first(tmp_path):
     bits = np.zeros((1, 8), dtype=bool)
     bits[0, 0] = True  # leftmost pixel -> MSB of the first PBM byte
