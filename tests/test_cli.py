@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from colortrack import config as cfgmod
 from colortrack import harness, imaging
 from colortrack.cli import main
+from colortrack.harness import Scenario
 from colortrack.imaging import Frame, Scene, Shape, render
 from colortrack.plant import CameraIntrinsics, CameraPose
 
@@ -145,7 +149,6 @@ def test_render_subcommand(capsys, tmp_path):
 def test_render_matches_library(capsys, tmp_path):
     out_raw = tmp_path / "frame.rgb565"
     run(capsys, "render", "--out", str(out_raw))
-    from colortrack.harness import Scenario
     s = Scenario()
     expected = render(s.scene_at(0.0), CameraPose(), s.intrinsics)
     back = imaging.read_rgb565(out_raw, 320, 240)
@@ -196,18 +199,21 @@ def test_scenario_with_infinite_frame_count_exit_code(capsys, duration,
     assert out == ""
 
 
-@pytest.mark.parametrize("item", ["illumination=-1", "rgb_margin=-5",
-                                  "chroma_margin=-0.1", "background=300,0,0",
-                                  "object_size=inf", "object_size=nan",
-                                  "object_size=-1", "i_min=0",
-                                  # checked by a nested dataclass, or only
-                                  # at run time before they had a rule
-                                  "ppd_x=inf", "ppd_x=nan", "ppd_y=0",
-                                  "ts=nan", "ts=inf", "pan_tau=inf",
-                                  "tilt_k=nan", "u_max=nan", "u_min=nan",
-                                  "u_min=5", "u_max=-1", "min_width=0",
-                                  "object_kind=star", "mode=foo",
-                                  "kind=foo", "duration=0.01"])
+OUT_OF_RANGE_ITEMS = ["illumination=-1", "rgb_margin=-5",
+                      "chroma_margin=-0.1", "background=300,0,0",
+                      "object_size=inf", "object_size=nan",
+                      "object_size=-1", "i_min=0",
+                      # checked by a nested dataclass, or only at run time
+                      # before they had a rule
+                      "ppd_x=inf", "ppd_x=nan", "ppd_y=0",
+                      "ts=nan", "ts=inf", "pan_tau=inf",
+                      "tilt_k=nan", "u_max=nan", "u_min=nan",
+                      "u_min=5", "u_max=-1", "min_width=0",
+                      "object_kind=star", "mode=foo",
+                      "kind=foo", "duration=0.01"]
+
+
+@pytest.mark.parametrize("item", OUT_OF_RANGE_ITEMS)
 def test_out_of_range_config_value_exit_code(capsys, item):
     key = item.partition("=")[0]
     code, _, err = run(capsys, "track", "--set", item)
@@ -350,6 +356,49 @@ def test_bad_joint_config_values_name_every_key(capsys, items, keys):
     assert code == 1
     assert err.startswith(f"error: config key {keys}: ")
     assert out == ""
+
+
+# Every bad value above but background=300,0,0, which parse_color refuses
+# before any rule runs, the two-key cases, and the rules no case above breaks.
+CONFIG_ERROR_CASES = (
+    [[item] for item in OUT_OF_RANGE_ITEMS if item != "background=300,0,0"]
+    + [["u_min=0", "u_max=0"], ["motion=circular", "motion_period=nan"],
+       ["sample_time=10", "duration=1"],
+       ["duration=1e308", "sample_time=1e-10"],
+       ["duration=nan"], ["sample_time=0"]])
+
+
+def direct_error(items) -> str:
+    """str() of the error from building the Scenario the items describe
+    without the config module."""
+    top, nested = {}, {}
+    for item in items:
+        key, _, text = item.partition("=")
+        outer, name, default = cfgmod.KEYS[key]
+        (top if outer is None else nested.setdefault(outer, {}))[name] = (
+            type(default)(text))
+    with pytest.raises(ValueError) as e:
+        Scenario(**top, **{outer: replace(getattr(Scenario(), outer), **kw)
+                           for outer, kw in nested.items()})
+    return str(e.value)
+
+
+@pytest.mark.parametrize("items", CONFIG_ERROR_CASES, ids=" ".join)
+def test_config_error_is_the_scenario_error(items):
+    values = dict(item.split("=", 1) for item in items)
+    with pytest.raises(ValueError) as e:
+        cfgmod.scenario_from_config(values)
+    keys = ", ".join(map(repr, values))
+    assert str(e.value) == f"config key {keys}: {direct_error(items)}"
+
+
+def test_config_error_cases_break_every_rule_a_config_can():
+    # parse_color passes only colours that keep their rules
+    reachable = {error for names, _, error in harness.SCENARIO_RULES
+                 if not any(isinstance(cfgmod.KEYS[n][2], tuple)
+                            for n in names)}
+    broken = {direct_error(items) for items in CONFIG_ERROR_CASES}
+    assert reachable - broken == set()
 
 
 def test_segment_pick_out_of_range_exit_code(capsys, tmp_path):

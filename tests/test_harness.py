@@ -60,6 +60,8 @@ def test_scenario_validation():
         for bad in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValueError, match=name):
                 Scenario(**{name: bad})
+    bad_colors = ((300, 0, 0), (0, -1, 0), (0, math.nan, 0), (1, 2),
+                  (1, 2, 3, 4), ("1", 2, 3), 5)
     for name, bads in (("illumination", (-0.1, 1.5, math.nan)),
                        ("rgb_margin", (-1,)),
                        ("chroma_margin", (-0.1, math.nan)),
@@ -68,7 +70,9 @@ def test_scenario_validation():
                        ("u_min", (0.5, math.nan)),
                        ("u_max", (-0.5, math.nan)),
                        ("object_kind", ("star",)),
-                       ("mode", ("foo",))):
+                       ("mode", ("foo",)),
+                       ("background", bad_colors),
+                       ("object_color", bad_colors)):
         for bad in bads:
             with pytest.raises(ValueError, match=name):
                 Scenario(**{name: bad})
@@ -80,6 +84,16 @@ def test_scenario_validation():
     with pytest.raises(ValueError, match="duration"):
         Scenario(sample_time=10.0, duration=1.0)
     assert Scenario(sample_time=10.0, duration=6.0).n_frames == 1
+
+
+def test_scenario_float_color_channels_are_truncated():
+    exact = Scenario(background=(10, 20, 255), object_color=(230, 120, 30))
+    floats = Scenario(background=(10.5, 20.99, 255.0),
+                      object_color=(230.9, 120.5, np.float64(30.2)))
+    frames = [render(s.scene_at(0.0), CameraPose(), s.intrinsics).pixels
+              for s in (exact, floats)]
+    assert np.array_equal(*frames)
+    assert floats.picked_threshold() == exact.picked_threshold()
 
 
 # -- settling time -----------------------------------------------------------
@@ -95,8 +109,9 @@ def test_settling_never():
 
 
 def test_settling_band_positive():
-    with pytest.raises(ValueError):
-        settling_time(synthetic_record([0.0], [0.0]), band=0.0)
+    for band in (0.0, -1.0, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="band must be > 0"):
+            settling_time(synthetic_record([0.0], [0.0]), band=band)
 
 
 def test_settling_exponential_analytic():
@@ -661,6 +676,22 @@ def test_config_file_not_utf8_names_file_and_line(tmp_path):
                                          r"UTF-8 text \(byte 0xff at offset "
                                          r"0\)$"):
         cfgmod.parse_config(p)
+
+
+def test_config_file_may_start_with_a_byte_order_mark(tmp_path):
+    text = b"kind = clock_motion\nduration = 3.0\n"
+    plain, marked, twice = (tmp_path / n for n in ("plain.cfg", "bom.cfg",
+                                                   "twice.cfg"))
+    plain.write_bytes(text)
+    marked.write_bytes(b"\xef\xbb\xbf" + text)
+    s = cfgmod.scenario_from_config(cfgmod.parse_config(plain))
+    assert s != Scenario()
+    assert cfgmod.scenario_from_config(cfgmod.parse_config(marked)) == s
+    # one mark at the very start is dropped, and no more
+    twice.write_bytes(b"\xef\xbb\xbf" * 2 + text)
+    with pytest.raises(ValueError,
+                       match=r"^unknown config key: '\\ufeffkind'$"):
+        cfgmod.scenario_from_config(cfgmod.parse_config(twice))
 
 
 def test_parse_color_range():
