@@ -7,17 +7,27 @@ closing the loop around a simulated pan-tilt camera platform.
 
 from .control import (ControllerState, DesignDiagnostics, IncrementalCoeffs,
                       LoopSpec, PiGains, PlantModel, damping_from_po,
-                      design_gains, discretize, pi_step, po_from_damping)
+                      design_gains, discretize, pi_step)
 from .harness import (ObjectMotion, Scenario, TrackingMetrics,
                       TrajectoryRecord, circle_stats, run_scenario,
                       settling_time)
 from .imaging import Frame, Scene, Shape, decode, encode, narrow, render, widen
-from .plant import (CameraIntrinsics, CameraPose, PlantState, error_px,
-                    plant_step, project)
+from .plant import CameraIntrinsics, CameraPose, error_px, plant_step
 from .region import RegionDescriptor, ScanParams, locate, trace_contour
 from .segmentation import (ChromaThreshold, PackedBinaryMask, RgbBoxThreshold,
                            chromaticity, segment_chroma, segment_rgb,
                            threshold_from_pick)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "ControllerState", "DesignDiagnostics", "IncrementalCoeffs", "LoopSpec",
+    "PiGains", "PlantModel", "damping_from_po", "design_gains", "discretize",
+    "pi_step",
+    "ObjectMotion", "Scenario", "TrackingMetrics", "TrajectoryRecord",
+    "circle_stats", "run_scenario", "settling_time",
+    "Frame", "Scene", "Shape", "decode", "encode", "narrow", "render", "widen",
+    "CameraIntrinsics", "CameraPose", "error_px", "plant_step",
+    "RegionDescriptor", "ScanParams", "locate", "trace_contour",
+    "ChromaThreshold", "PackedBinaryMask", "RgbBoxThreshold", "chromaticity",
+    "segment_chroma", "segment_rgb", "threshold_from_pick",
+]
 __version__ = "0.1.0"

@@ -72,13 +72,6 @@ def damping_from_po(po: float) -> float:
     return -ln / math.sqrt(math.pi**2 + ln**2)
 
 
-def po_from_damping(xi: float) -> float:
-    """Percent overshoot of an underdamped second-order step response."""
-    if not 0 < xi < 1:
-        raise ValueError("damping factor must be in (0, 1)")
-    return 100.0 * math.exp(-xi * math.pi / math.sqrt(1 - xi**2))
-
-
 def design_gains(plant: PlantModel, spec: LoopSpec,
                  t: Optional[float] = None) -> tuple[PiGains,
                                                      DesignDiagnostics]:
@@ -137,19 +130,6 @@ def design_gains(plant: PlantModel, spec: LoopSpec,
                          f"b={b:g} gives PI coefficients c0={c0:g}, "
                          f"c1={c1:g}, not finite")
     return PiGains((c0 - c1) / 2.0, (c0 + c1) / t), diag
-
-
-def closed_loop_tf(plant: PlantModel,
-                   gains: PiGains) -> tuple[tuple[float, float],
-                                            tuple[float, float, float]]:
-    """Closed-loop transfer function coefficients, highest power first.
-
-    Returns ((kp*K, ki*K), (tau, 1 + kp*K, ki*K)). The DC gain is
-    ki*K / ki*K = 1: the integral action removes the offset error.
-    """
-    num = (gains.kp * plant.k, gains.ki * plant.k)
-    den = (plant.tau, 1.0 + gains.kp * plant.k, gains.ki * plant.k)
-    return num, den
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from . import imaging
 from .control import (ControllerState, LoopSpec, PlantModel, design_gains,
                       discretize, pi_step)
 from .imaging import SHAPE_KINDS, Scene, Shape, render, widen
-from .plant import CameraIntrinsics, CameraPose, PlantState, error_px, plant_step
+from .plant import CameraIntrinsics, CameraPose, error_px, plant_step
 from .region import ScanParams, locate
 # segment_chroma is imported only for benchmark/tracer.py PATCHES to wrap.
 from .segmentation import (CHROMA_MARGIN, RGB_MARGIN, THRESHOLD_MODES,
@@ -213,7 +213,10 @@ class TrajectoryRecord(Sequence):
     def __len__(self) -> int:
         return len(self._values) // _ROW_WIDTH
 
-    def __getitem__(self, i: int) -> TrajectoryRow:
+    def __getitem__(self, i: int | slice):
+        """One row, or a new record of the rows a slice selects."""
+        if isinstance(i, slice):
+            return TrajectoryRecord(map(self.__getitem__, range(len(self))[i]))
         i = range(len(self))[i]  # negative from the end; IndexError past it
         v = self._values[i * _ROW_WIDTH:(i + 1) * _ROW_WIDTH]
         return TrajectoryRow(*v[:7], int(v[7]), int(v[8]), bool(v[9]))
@@ -280,14 +283,13 @@ def run_scenario(s: Scenario) -> tuple[TrajectoryRecord, TrackingMetrics]:
 
     cs_x = ControllerState(u_min=s.u_min, u_max=s.u_max)
     cs_y = ControllerState(u_min=s.u_min, u_max=s.u_max)
-    pan = PlantState()
-    tilt = PlantState()
+    pan = tilt = 0.0  # degrees
     ux = uy = 0.0
 
     rec = TrajectoryRecord()
     for k in range(s.n_frames):
         t = k * s.sample_time
-        pose = CameraPose(pan.angle, tilt.angle)
+        pose = CameraPose(pan, tilt)
         frame = render(s.scene_at(t), pose, intr)
         mask = segment_rgb(frame, threshold)
         reg = locate(mask, params)
@@ -303,7 +305,7 @@ def run_scenario(s: Scenario) -> tuple[TrajectoryRecord, TrackingMetrics]:
             cx = cy = -1
             found = False  # hold the last command
         rec.append(TrajectoryRow(t, ex, ey, ux, uy,
-                                 pan.angle, tilt.angle, cx, cy, found))
+                                 pan, tilt, cx, cy, found))
         if s.tracking:
             pan = plant_step(pan, s.pan_model, ux, s.sample_time)
             tilt = plant_step(tilt, s.tilt_model, uy, s.sample_time)
@@ -403,11 +405,6 @@ class SweepResult:
     chroma_counts: tuple[int, ...]
     rgb_counts: tuple[int, ...]
 
-    def retention(self, method: str) -> tuple[float, ...]:
-        counts = self.chroma_counts if method == "chroma" else self.rgb_counts
-        ref = max(counts[0], 1)
-        return tuple(c / ref for c in counts)
-
     def report_lines(self) -> list[str]:
         lines = ["level,chroma_pixels,rgb_pixels"]
         for lv, c, r in zip(self.levels, self.chroma_counts, self.rgb_counts):
@@ -422,6 +419,8 @@ def run_illumination_sweep(s: Scenario,
     Both thresholds are picked once at the first (brightest) level, then
     applied unchanged across the sweep.
     """
+    if not levels:
+        raise ValueError("levels must hold at least one illumination level")
     base = replace(s, illumination=levels[0])
     chroma_t = replace(base, mode="chroma").picked_threshold()
     rgb_t = replace(base, mode="rgb").picked_threshold()

@@ -99,10 +99,6 @@ class Frame:
         object.__setattr__(self, "pixels", px)
         self.pixels.setflags(write=False)
 
-    @classmethod
-    def filled(cls, width: int, height: int, word: int = 0) -> "Frame":
-        return cls(width, height, np.full((height, width), word, dtype=np.uint16))
-
     def widened(self) -> np.ndarray:
         """8-bit channels, shape (height, width, 3)."""
         return widen_channels(self.pixels)

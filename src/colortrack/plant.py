@@ -1,21 +1,12 @@
-"""Pan-tilt platform simulation and the pixel-space camera projection."""
+"""Pan-tilt platform simulation and the camera's pixel geometry."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from .control import PlantModel
 from .region import RegionDescriptor
-
-@dataclass(frozen=True)
-class PlantState:
-    """Current output angle of one first-order servo axis."""
-
-    angle: float = 0.0  # degrees
-    limits: Optional[tuple[float, float]] = None  # mechanical end stops
-
 
 @dataclass(frozen=True)
 class CameraPose:
@@ -44,30 +35,16 @@ class CameraIntrinsics:
             raise ValueError("pixels per degree must be finite and > 0")
 
 
-def plant_step(state: PlantState, model: PlantModel, u: float,
-               t: float) -> PlantState:
-    """Advance one axis by one sampling period under a held command.
+def plant_step(angle: float, model: PlantModel, u: float, t: float) -> float:
+    """Advance one axis's angle (degrees) by one period under a held command.
 
     Exact zero-order-hold discretization of tau*dx/dt = K*u - x:
-    x+ = a*x + (1 - a)*K*u with a = exp(-t/tau), then the mechanical clamp.
+    x+ = a*x + (1 - a)*K*u with a = exp(-t/tau).
     """
     if t <= 0:
         raise ValueError("time step must be > 0")
     a = math.exp(-t / model.tau)
-    x = a * state.angle + (1.0 - a) * model.k * u
-    if state.limits is not None:
-        x = min(max(x, state.limits[0]), state.limits[1])
-    return PlantState(angle=x, limits=state.limits)
-
-
-def project(object_az: float, object_el: float, pose: CameraPose,
-            intr: CameraIntrinsics) -> Optional[tuple[int, int]]:
-    """Pixel position of an angular direction, or None when out of view."""
-    x = round(intr.width / 2 + (object_az - pose.pan) * intr.ppd_x)
-    y = round(intr.height / 2 + (object_el - pose.tilt) * intr.ppd_y)
-    if not (0 <= x < intr.width and 0 <= y < intr.height):
-        return None
-    return x, y
+    return a * angle + (1.0 - a) * model.k * u
 
 
 def error_px(region: RegionDescriptor,

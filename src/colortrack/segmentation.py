@@ -46,15 +46,11 @@ class PackedBinaryMask:
         if self.width < 0 or self.height < 0:
             raise ValueError(f"mask width {self.width} and height "
                              f"{self.height} must not be negative")
-        n = _word_count(self.width, self.height)
+        n = (self.width * self.height + WORD_BITS - 1) // WORD_BITS
         w = np.asarray(self.words, dtype=np.uint32)
         if w.shape != (n,):
             raise ValueError(f"expected {n} words, got shape {w.shape}")
         self.words = w
-
-    @classmethod
-    def zeros(cls, width: int, height: int) -> "PackedBinaryMask":
-        return cls(width, height, np.zeros(_word_count(width, height), np.uint32))
 
     @classmethod
     def from_bool(cls, bits: np.ndarray) -> "PackedBinaryMask":
@@ -104,28 +100,6 @@ class PackedBinaryMask:
 
     def count(self) -> int:
         return int(self.to_bool().sum())
-
-
-def _word_count(width: int, height: int) -> int:
-    return (width * height + WORD_BITS - 1) // WORD_BITS
-
-
-def mask_get(mask: PackedBinaryMask, x: int, y: int) -> int:
-    if not (0 <= x < mask.width and 0 <= y < mask.height):
-        raise IndexError(f"pixel ({x}, {y}) outside {mask.width}x{mask.height}")
-    i = y * mask.width + x
-    return (int(mask.words[i // WORD_BITS]) >> (i % WORD_BITS)) & 1
-
-
-def mask_set(mask: PackedBinaryMask, x: int, y: int, bit: int) -> None:
-    if not (0 <= x < mask.width and 0 <= y < mask.height):
-        raise IndexError(f"pixel ({x}, {y}) outside {mask.width}x{mask.height}")
-    i = y * mask.width + x
-    w, b = i // WORD_BITS, i % WORD_BITS
-    if bit:
-        mask.words[w] |= np.uint32(1 << b)
-    else:
-        mask.words[w] &= np.uint32(~(1 << b) & 0xFFFFFFFF)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from colortrack.cli import main
 from colortrack.harness import Scenario
 from colortrack.imaging import Frame, Scene, Shape, render
 from colortrack.plant import CameraIntrinsics, CameraPose
+from oracles import filled_frame
 
 
 def run(capsys, *argv):
@@ -67,7 +68,7 @@ def test_segment_reads_mode_and_min_width_from_config(capsys, tmp_path):
 
 def test_segment_no_region(capsys, tmp_path):
     img = tmp_path / "black.ppm"
-    imaging.write_ppm(Frame.filled(16, 16, 0), img)
+    imaging.write_ppm(filled_frame(16, 16, 0), img)
     code, out, _ = run(capsys, "segment", str(img), "--pick", "255,0,0")
     assert code == 0
     assert "no region found" in out
@@ -254,7 +255,7 @@ def test_black_pick_exit_code(capsys, tmp_path, item, color, level):
 
 def test_black_pick_flag_is_named(capsys, tmp_path):
     img = tmp_path / "still.ppm"
-    imaging.write_ppm(Frame.filled(8, 8, 0xF800), img)
+    imaging.write_ppm(filled_frame(8, 8, 0xF800), img)
     code, out, err = run(capsys, "segment", str(img), "--pick", "0,0,0")
     assert (code, out) == (1, "")
     assert err == ("error: --pick: cannot derive a chroma threshold from a "
@@ -285,7 +286,7 @@ def test_black_color_sweep_names_no_flag(capsys, tmp_path, levels):
 
 def test_black_pick_in_rgb_mode_still_runs(capsys, tmp_path):
     img = tmp_path / "still.ppm"
-    imaging.write_ppm(Frame.filled(8, 8, 0), img)
+    imaging.write_ppm(filled_frame(8, 8, 0), img)
     code, out, _ = run(capsys, "segment", str(img), "--pick", "0,0,0",
                        "--set", "mode=rgb")
     assert code == 0 and out.startswith("region: x 0..7, y 0..7")
@@ -403,7 +404,7 @@ def test_config_error_cases_break_every_rule_a_config_can():
 
 def test_segment_pick_out_of_range_exit_code(capsys, tmp_path):
     img = tmp_path / "black.ppm"
-    imaging.write_ppm(Frame.filled(16, 16, 0), img)
+    imaging.write_ppm(filled_frame(16, 16, 0), img)
     with pytest.raises(SystemExit) as exc:
         run(capsys, "segment", str(img), "--pick", "300,0,0")
     assert exc.value.code == 2
@@ -420,7 +421,7 @@ def test_segment_pick_out_of_range_exit_code(capsys, tmp_path):
                               "--min-width-0"])
 def test_segment_bad_threshold_flag_names_the_flag(capsys, tmp_path, item):
     img = tmp_path / "black.ppm"
-    imaging.write_ppm(Frame.filled(4, 4, 0), img)
+    imaging.write_ppm(filled_frame(4, 4, 0), img)
     code, out, err = run(capsys, "segment", str(img), "--pick", "100,50,20",
                          "--set", "mode=rgb", "--set", item)
     assert code == 1

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 from scipy import signal
 
 from colortrack.control import (ControllerState, IncrementalCoeffs, LoopSpec,
-                                PiGains, PlantModel, closed_loop_tf,
-                                damping_from_po, design_gains, discretize,
-                                pi_step, po_from_damping)
+                                PiGains, PlantModel, damping_from_po,
+                                design_gains, discretize, pi_step)
 from colortrack.harness import DEFAULT_SAMPLE_TIME
-from colortrack.plant import PlantState, plant_step
+from colortrack.plant import plant_step
+from oracles import closed_loop_tf, po_from_damping
 
 
 def test_type_validation():
@@ -197,14 +197,14 @@ def simulate_discrete_loop(plant, gains, t_step, horizon, ref=1.0):
     """Discrete PI + exact-ZOH plant; returns (times, outputs)."""
     coeffs = discretize(gains, t_step)
     cs = ControllerState(u_min=-1e9, u_max=1e9)
-    x = PlantState()
+    x = 0.0
     times, ys = [], []
     for k in range(int(round(horizon / t_step))):
-        e = ref - x.angle
+        e = ref - x
         u, cs = pi_step(cs, coeffs, e)
         x = plant_step(x, plant, u, t_step)
         times.append((k + 1) * t_step)
-        ys.append(x.angle)
+        ys.append(x)
     return np.array(times), np.array(ys)
 
 

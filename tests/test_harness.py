@@ -18,6 +18,7 @@ from colortrack.imaging import SHAPE_KINDS, Scene, render
 from colortrack.plant import CameraIntrinsics, CameraPose
 from colortrack.region import ScanParams, locate
 from colortrack.segmentation import THRESHOLD_MODES
+from oracles import retention
 
 
 def synthetic_record(ts, exs, eys=None):
@@ -371,10 +372,15 @@ def test_infeasible_spec_propagates():
 
 def test_illumination_sweep_retention():
     result = run_illumination_sweep(Scenario())
-    chroma = result.retention("chroma")
-    rgb = result.retention("rgb")
+    chroma = retention(result, "chroma")
+    rgb = retention(result, "rgb")
     assert all(f >= 0.95 for f in chroma)
     assert rgb[-1] < 0.5
+
+
+def test_illumination_sweep_refuses_no_levels():
+    with pytest.raises(ValueError, match="levels"):
+        run_illumination_sweep(Scenario(), ())
 
 
 # -- persistence -------------------------------------------------------------
@@ -415,6 +421,18 @@ def test_record_is_a_sequence_of_rows():
         with pytest.raises(IndexError):
             rec[bad]
     assert not hasattr(rec, "rows") and not hasattr(rec, "__dict__")
+
+
+def test_record_slices_are_records():
+    rec, _ = run_scenario(Scenario(duration=0.5))
+    rec.append(LOST)
+    for s in (slice(1, 3), slice(None, None, -1), slice(4, 0, -2),
+              slice(2, 2), slice(3, 1), slice(4, 50), slice(40, 50),
+              slice(-3, None)):
+        part = rec[s]
+        assert type(part) is TrajectoryRecord
+        assert part == TrajectoryRecord(list(rec)[s])
+        assert len(part) == len(range(len(rec))[s])
 
 
 def test_record_column_matches_rows():

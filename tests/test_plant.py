@@ -8,35 +8,33 @@ from hypothesis import strategies as st
 from colortrack.control import PlantModel
 from colortrack.harness import Scenario
 from colortrack.imaging import render
-from colortrack.plant import (CameraIntrinsics, CameraPose, PlantState,
-                              error_px, plant_step, project)
+from colortrack.plant import CameraIntrinsics, CameraPose, error_px, plant_step
 from colortrack.region import RegionDescriptor, locate
 from colortrack.segmentation import segment_rgb
+from oracles import project
 
 INTR = CameraIntrinsics()
 MODEL = PlantModel(k=2.0, tau=0.3)
 
 
 def test_plant_step_decay():
-    state = PlantState(angle=10.0)
     t = 0.1
-    out = plant_step(state, MODEL, 0.0, t)
-    assert out.angle == pytest.approx(10.0 * math.exp(-t / MODEL.tau))
+    out = plant_step(10.0, MODEL, 0.0, t)
+    assert out == pytest.approx(10.0 * math.exp(-t / MODEL.tau))
 
 
 def test_plant_step_dc_gain():
-    state = PlantState()
+    angle = 0.0
     for _ in range(400):
-        state = plant_step(state, MODEL, 3.0, 0.05)
-    assert state.angle == pytest.approx(MODEL.k * 3.0, rel=1e-6)
+        angle = plant_step(angle, MODEL, 3.0, 0.05)
+    assert angle == pytest.approx(MODEL.k * 3.0, rel=1e-6)
 
 
 def test_plant_step_fine_substep_oracle():
     """One exact ZOH step equals a 1000-substep Euler integration."""
     t = 0.08
     u = 1.7
-    state = PlantState(angle=4.0)
-    exact = plant_step(state, MODEL, u, t).angle
+    exact = plant_step(4.0, MODEL, u, t)
     x = 4.0
     dt = t / 1000
     for _ in range(1000):
@@ -48,17 +46,9 @@ def test_plant_step_fine_substep_oracle():
         + MODEL.k * u * (1 - math.exp(-t / MODEL.tau)), abs=1e-12)
 
 
-def test_plant_step_mechanical_clamp():
-    state = PlantState(angle=0.0, limits=(-5.0, 5.0))
-    for _ in range(100):
-        state = plant_step(state, MODEL, 100.0, 0.1)
-    assert state.angle == 5.0
-    assert state.limits == (-5.0, 5.0)
-
-
 def test_plant_step_rejects_bad_dt():
     with pytest.raises(ValueError):
-        plant_step(PlantState(), MODEL, 0.0, 0.0)
+        plant_step(0.0, MODEL, 0.0, 0.0)
 
 
 @given(st.floats(-50, 50), st.floats(-50, 50), st.floats(-10, 10),
@@ -68,7 +58,7 @@ def test_plant_step_linear(x1, x2, u1, u2, a, b):
     t = 0.07
 
     def f(x, u):
-        return plant_step(PlantState(angle=x), MODEL, u, t).angle
+        return plant_step(x, MODEL, u, t)
 
     combined = f(a * x1 + b * x2, a * u1 + b * u2)
     assert combined == pytest.approx(a * f(x1, u1) + b * f(x2, u2),

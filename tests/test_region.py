@@ -10,6 +10,7 @@ from colortrack import region
 from colortrack.region import (RegionDescriptor, ScanParams, _runs,
                                find_initial_run, locate, trace_contour)
 from colortrack.segmentation import PackedBinaryMask, segment_rgb
+from oracles import zeros_mask
 
 
 def mask_from(bits):
@@ -131,7 +132,7 @@ def test_scan_params_validation():
 
 
 def test_find_initial_run_empty():
-    assert find_initial_run(PackedBinaryMask.zeros(16, 16), ScanParams(1)) is None
+    assert find_initial_run(zeros_mask(16, 16), ScanParams(1)) is None
 
 
 def test_find_initial_run_single():
@@ -168,7 +169,7 @@ def test_trace_single_pixel():
 
 def test_trace_requires_set_start():
     with pytest.raises(ValueError, match="not a set pixel"):
-        trace_contour(PackedBinaryMask.zeros(4, 4), (1, 1))
+        trace_contour(zeros_mask(4, 4), (1, 1))
     full = mask_from(np.ones((4, 4), dtype=bool))
     for outside in ((-1, 0), (0, -1), (4, 0), (0, 4)):
         with pytest.raises(ValueError, match="not a set pixel"):
@@ -545,8 +546,8 @@ def test_bits_past_the_mask_are_never_read():
 
 
 def test_locate_empty_mask():
-    assert locate(PackedBinaryMask.zeros(16, 16)) is None
-    top, band, runs = region._encode(PackedBinaryMask.zeros(16, 16))
+    assert locate(zeros_mask(16, 16)) is None
+    top, band, runs = region._encode(zeros_mask(16, 16))
     assert band.shape == (0, 16) and all(a.size == 0 for a in runs)
 
 

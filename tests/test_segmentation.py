@@ -15,8 +15,9 @@ from colortrack.imaging import Frame, widen
 from colortrack.region import ScanParams, locate
 from colortrack.segmentation import (ChromaThreshold, PackedBinaryMask,
                                      RgbBoxThreshold, chromaticity,
-                                     mask_get, mask_set, segment_chroma,
-                                     segment_rgb, threshold_from_pick)
+                                     segment_chroma, segment_rgb,
+                                     threshold_from_pick)
+from oracles import filled_frame, mask_get, mask_set, zeros_mask
 
 
 def naive_verdict(r, g, b, threshold):
@@ -101,7 +102,7 @@ def test_threshold_validation():
 # -- packed mask addressing --------------------------------------------------
 
 def test_mask_word_count_qvga():
-    mask = PackedBinaryMask.zeros(320, 240)
+    mask = zeros_mask(320, 240)
     assert len(mask.words) == 2400
 
 
@@ -111,7 +112,7 @@ def test_mask_rejects_wrong_word_count():
 
 
 def test_mask_addressing_definition():
-    mask = PackedBinaryMask.zeros(320, 240)
+    mask = zeros_mask(320, 240)
     mask_set(mask, 0, 0, 1)
     assert mask.words[0] == 1
     mask_set(mask, 0, 0, 0)
@@ -123,7 +124,7 @@ def test_mask_addressing_definition():
 
 
 def test_mask_bounds():
-    mask = PackedBinaryMask.zeros(8, 8)
+    mask = zeros_mask(8, 8)
     with pytest.raises(IndexError):
         mask_get(mask, 8, 0)
     with pytest.raises(IndexError):
@@ -133,7 +134,7 @@ def test_mask_bounds():
 @given(st.lists(st.tuples(st.integers(0, 19), st.integers(0, 11),
                           st.integers(0, 1)), max_size=60))
 def test_mask_set_get_matches_boolean_oracle(ops):
-    mask = PackedBinaryMask.zeros(20, 12)
+    mask = zeros_mask(20, 12)
     ref = np.zeros((12, 20), dtype=bool)
     for x, y, bit in ops:
         mask_set(mask, x, y, bit)
@@ -307,7 +308,7 @@ def test_mask_rejects_a_negative_size(w, h):
 # -- segmentation ------------------------------------------------------------
 
 def test_segment_rgb_uniform_frame():
-    frame = Frame.filled(16, 8, 0xF800)
+    frame = filled_frame(16, 8, 0xF800)
     pick = widen(0xF800)
     mask = segment_rgb(frame, threshold_from_pick(pick, "rgb"))
     assert mask.count() == 16 * 8
@@ -320,7 +321,7 @@ def test_segment_rgb_inclusive_bounds():
         if widen(w)[0] == 99:
             word = w
             break
-    frame = Frame.filled(1, 1, word)
+    frame = filled_frame(1, 1, word)
     assert segment_rgb(frame, t).count() == 1
 
 
@@ -345,13 +346,13 @@ def test_segment_chroma_vs_naive_oracle():
 def test_segment_chroma_uniform_pick():
     from colortrack.imaging import narrow
     word = narrow(200, 100, 100)
-    frame = Frame.filled(12, 12, word)
+    frame = filled_frame(12, 12, word)
     t = threshold_from_pick(widen(word), "chroma")
     assert segment_chroma(frame, t).count() == 144
 
 
 def test_segment_chroma_black_frame_empty():
-    frame = Frame.filled(16, 16, 0x0000)
+    frame = filled_frame(16, 16, 0x0000)
     t = ChromaThreshold(0.0, 1.0, 0.0, 1.0, i_min=30)
     assert segment_chroma(frame, t).count() == 0
 
@@ -361,8 +362,8 @@ def test_segment_chroma_half_scale_near_invariant():
     # may differ only on quantization-boundary pixels
     color = (230, 120, 30)
     from colortrack.imaging import narrow
-    full = Frame.filled(16, 16, narrow(*color))
-    half = Frame.filled(16, 16, narrow(*(c // 2 for c in color)))
+    full = filled_frame(16, 16, narrow(*color))
+    half = filled_frame(16, 16, narrow(*(c // 2 for c in color)))
     t = threshold_from_pick(widen(narrow(*color)), "chroma")
     a = segment_chroma(full, t).to_bool()
     b = segment_chroma(half, t).to_bool()
@@ -375,7 +376,7 @@ def test_segment_rgb_not_illumination_invariant():
     color = (230, 120, 30)
     from colortrack.imaging import narrow
     scale = 0.4
-    dim = Frame.filled(16, 16, narrow(*(int(scale * c) for c in color)))
+    dim = filled_frame(16, 16, narrow(*(int(scale * c) for c in color)))
     rgb_t = threshold_from_pick(widen(narrow(*color)), "rgb")
     chroma_t = threshold_from_pick(widen(narrow(*color)), "chroma")
     assert segment_rgb(dim, rgb_t).count() < 0.5 * 256
