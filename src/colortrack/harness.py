@@ -265,50 +265,39 @@ def run_scenario(s: Scenario) -> tuple[TrajectoryRecord, TrackingMetrics]:
     intr = s.intrinsics
     threshold = s.picked_threshold()
     params = ScanParams(s.min_width)
+    # Each axis pair is (pan, tilt), as error_px and CameraPose read them.
+    models = (s.pan_model, s.tilt_model)
+    axes = (0, 1) if s.tracking else ()
 
     # The controller acts on pixel error while the plant moves in degrees,
     # so the loop gain seen by the controller includes pixels-per-degree.
     # The spec's poles are placed at the frame period the loop runs at, so
     # the sampled loop, not its continuous limit, meets the spec.
-    coeffs_x = coeffs_y = None
-    if s.tracking:
-        gx, _ = design_gains(PlantModel(s.pan_model.k * intr.ppd_x,
-                                        s.pan_model.tau), s.spec,
-                             s.sample_time)
-        gy, _ = design_gains(PlantModel(s.tilt_model.k * intr.ppd_y,
-                                        s.tilt_model.tau), s.spec,
-                             s.sample_time)
-        coeffs_x = discretize(gx, s.sample_time)
-        coeffs_y = discretize(gy, s.sample_time)
+    coeffs = []
+    for i, ppd in zip(axes, (intr.ppd_x, intr.ppd_y)):
+        gains, _ = design_gains(PlantModel(models[i].k * ppd, models[i].tau),
+                                s.spec, s.sample_time)
+        coeffs.append(discretize(gains, s.sample_time))
 
-    cs_x = ControllerState(u_min=s.u_min, u_max=s.u_max)
-    cs_y = ControllerState(u_min=s.u_min, u_max=s.u_max)
-    pan = tilt = 0.0  # degrees
-    ux = uy = 0.0
-
+    states = [ControllerState(u_min=s.u_min, u_max=s.u_max)] * 2
+    pose, u = [0.0, 0.0], [0.0, 0.0]  # degrees, command
+    lost = (math.nan, math.nan)  # the error of a frame with no region
     rec = TrajectoryRecord()
     for k in range(s.n_frames):
         t = k * s.sample_time
-        pose = CameraPose(pan, tilt)
-        frame = render(s.scene_at(t), pose, intr)
-        mask = segment_rgb(frame, threshold)
-        reg = locate(mask, params)
-        if reg is not None:
-            ex, ey = error_px(reg, intr)
-            cx, cy = reg.center_x, reg.center_y
-            if s.tracking:
-                ux, cs_x = pi_step(cs_x, coeffs_x, ex)
-                uy, cs_y = pi_step(cs_y, coeffs_y, ey)
-            found = True
+        frame = render(s.scene_at(t), CameraPose(pose[0], pose[1]), intr)
+        reg = locate(segment_rgb(frame, threshold), params)
+        if reg is None:
+            e, cx, cy = lost, -1, -1  # hold the last command
         else:
-            ex = ey = math.nan
-            cx = cy = -1
-            found = False  # hold the last command
-        rec.append(TrajectoryRow(t, ex, ey, ux, uy,
-                                 pan, tilt, cx, cy, found))
-        if s.tracking:
-            pan = plant_step(pan, s.pan_model, ux, s.sample_time)
-            tilt = plant_step(tilt, s.tilt_model, uy, s.sample_time)
+            e = error_px(reg, intr)
+            cx, cy = reg.center_x, reg.center_y
+            for i in axes:
+                u[i], states[i] = pi_step(states[i], coeffs[i], e[i])
+        rec.append(TrajectoryRow(t, e[0], e[1], u[0], u[1], pose[0], pose[1],
+                                 cx, cy, reg is not None))
+        for i in axes:
+            pose[i] = plant_step(pose[i], models[i], u[i], s.sample_time)
     return rec, compute_metrics(rec)
 
 
