@@ -5,8 +5,9 @@ are `key = value`; blank lines and `#` comments are ignored. CLI flags
 override file values. The keys are the fields of `Scenario`, with each
 nested dataclass flattened to one key per field; unknown keys are rejected
 to catch typos. A value is parsed by the type of the field's default, and a
-tuple default is parsed as an `r,g,b` colour. Once every value is parsed,
-the values are checked against `harness.SCENARIO_RULES`.
+tuple default is parsed as an `r,g,b` colour. Once every value is parsed
+and each nested dataclass is built, the values are checked against
+`harness.SCENARIO_RULES`.
 """
 
 from __future__ import annotations
@@ -88,15 +89,21 @@ def scenario_from_config(values: dict,
             top[name] = value
         else:
             nested.setdefault(outer, {})[name] = value
-    # the first broken rule names the keys given for its fields
-    for names, ok, error in SCENARIO_RULES:
-        if not ok(*(top.get(name, getattr(base, name)) for name in names)):
-            keys = ", ".join(repr(k) for k in values if k in names)
-            raise ValueError(f"config key {keys}: {error}")
+    # A nested value is built, and checks itself, before any rule reads it,
+    # as it is when a Scenario is built; each error names the keys given
+    # for the fields it concerns.
     for outer, changes in nested.items():
         try:
             top[outer] = replace(getattr(base, outer), **changes)
         except ValueError as e:
-            keys = ", ".join(repr(k) for k in values if KEYS[k][0] == outer)
-            raise ValueError(f"config key {keys}: {e}") from None
+            raise ValueError(f"config key {_keys_of(values, (outer,))}: {e}"
+                             ) from None
+    for names, ok, error in SCENARIO_RULES:
+        if not ok(*(top.get(name, getattr(base, name)) for name in names)):
+            raise ValueError(f"config key {_keys_of(values, names)}: {error}")
     return replace(base, **top)
+
+
+def _keys_of(values: dict, names) -> str:
+    """The keys in values that set the Scenario fields names, quoted."""
+    return ", ".join(repr(k) for k in values if (KEYS[k][0] or k) in names)

@@ -72,6 +72,11 @@ def damping_from_po(po: float) -> float:
     return -ln / math.sqrt(math.pi**2 + ln**2)
 
 
+def feasible(plant: PlantModel, spec: LoopSpec) -> bool:
+    """Whether pole placement meets spec on plant: ts <= 8*tau, else kp < 0."""
+    return spec.ts <= 8 * plant.tau
+
+
 def design_gains(plant: PlantModel, spec: LoopSpec,
                  t: Optional[float] = None) -> tuple[PiGains,
                                                      DesignDiagnostics]:
@@ -98,7 +103,7 @@ def design_gains(plant: PlantModel, spec: LoopSpec,
     sampled plant whose b rounds to 0 or whose c0 or c1 overflows, are
     rejected too.
     """
-    if spec.ts > 8 * plant.tau:
+    if not feasible(plant, spec):
         raise ValueError(
             f"infeasible spec: ts={spec.ts:g} s exceeds 8*tau="
             f"{8 * plant.tau:g} s (kp would be negative)")

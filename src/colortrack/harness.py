@@ -13,7 +13,7 @@ import numpy as np
 
 from . import imaging
 from .control import (ControllerState, LoopSpec, PlantModel, design_gains,
-                      discretize, pi_step)
+                      discretize, feasible, pi_step)
 from .imaging import SHAPE_KINDS, Scene, Shape, render, widen
 from .plant import CameraIntrinsics, CameraPose, error_px, plant_step
 from .region import ScanParams, locate
@@ -66,6 +66,15 @@ SCENARIO_RULES = (
      "duration must be a finite number of frames of sample_time"),
     (("duration", "sample_time"), lambda d, t: round(d / t) >= 1,
      "duration must round to at least one frame of sample_time"),
+    (("kind", "spec", "pan_model", "tilt_model"),
+     lambda kind, spec, *models: kind != "step_track" or all(
+         feasible(m, spec) for m in models),
+     "infeasible spec: step_track needs ts <= 8*tau on both axes"),
+    # the angle grows with t, so the last frame's is the largest
+    (("duration", "sample_time", "motion"),
+     lambda d, t, m: m.kind != "circular" or math.isfinite(
+         m.angle((round(d / t) - 1) * t)),
+     "circular motion's angle at the last frame must be finite"),
 )
 
 
@@ -90,10 +99,14 @@ class ObjectMotion:
                                             and self.period > 0):
             raise ValueError("circular motion period must be finite and > 0")
 
+    def angle(self, t: float) -> float:
+        """Radians around the circle at time t."""
+        return 2.0 * math.pi * t / self.period + math.radians(self.phase)
+
     def at(self, t: float) -> tuple[float, float]:
         if self.kind == "fixed":
             return self.az, self.el
-        w = 2.0 * math.pi * t / self.period + math.radians(self.phase)
+        w = self.angle(t)
         return (self.az + self.radius * math.cos(w),
                 self.el + self.radius * math.sin(w))
 

@@ -2,8 +2,9 @@
 
 The package holds only what its commands and loop run. What is here
 restates a piece of it the slow, obvious way (single-pixel mask access,
-the continuous closed loop, the pinhole projection), or builds an input
-that no command builds.
+the scalar segmentation rule, the flood fill, the continuous closed loop,
+the pinhole projection), or builds an input that no command builds. Each
+oracle has one copy, which every test imports.
 """
 
 import math
@@ -14,7 +15,8 @@ from colortrack.control import PiGains, PlantModel
 from colortrack.harness import SweepResult
 from colortrack.imaging import Frame
 from colortrack.plant import CameraIntrinsics, CameraPose
-from colortrack.segmentation import WORD_BITS, PackedBinaryMask
+from colortrack.segmentation import (WORD_BITS, PackedBinaryMask,
+                                     RgbBoxThreshold)
 
 
 def zeros_mask(width: int, height: int) -> PackedBinaryMask:
@@ -39,6 +41,58 @@ def mask_set(mask: PackedBinaryMask, x: int, y: int, bit: int) -> None:
         mask.words[w] |= np.uint32(1 << b)
     else:
         mask.words[w] &= np.uint32(~(1 << b) & 0xFFFFFFFF)
+
+
+def naive_verdict(r, g, b, threshold):
+    """Scalar segmentation rule for one pixel's widened channels."""
+    if isinstance(threshold, RgbBoxThreshold):
+        return (threshold.r_min <= r <= threshold.r_max
+                and threshold.g_min <= g <= threshold.g_max
+                and threshold.b_min <= b <= threshold.b_max)
+    i = r + g + b
+    return (i >= threshold.i_min and i > 0
+            and threshold.r_min <= r / i <= threshold.r_max
+            and threshold.g_min <= g / i <= threshold.g_max)
+
+
+def flood_pixels(bits, seed):
+    """8-connected flood fill from seed, the independent oracle: the (x, y)
+    pixels of seed's component."""
+    h, w = bits.shape
+    seen = np.zeros_like(bits)
+    stack = [seed]
+    seen[seed[1], seed[0]] = True
+    pixels = []
+    while stack:
+        x, y = stack.pop()
+        pixels.append((x, y))
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                nx, ny = x + dx, y + dy
+                if (0 <= nx < w and 0 <= ny < h and bits[ny, nx]
+                        and not seen[ny, nx]):
+                    seen[ny, nx] = True
+                    stack.append((nx, ny))
+    return pixels
+
+
+def flood_oracle(bits, seed):
+    """The bounding box (top, bottom, left, right), the pixel count and the
+    mean-position centroid (x, y) of seed's component, by flood fill."""
+    xs, ys = zip(*flood_pixels(bits, seed))
+    n = len(xs)
+    return ((min(ys), max(ys), min(xs), max(xs)), n,
+            (sum(xs) / n, sum(ys) / n))
+
+
+def with_trailing_bits(mask):
+    """The same mask built from its words with every bit past width*height
+    set, as PackedBinaryMask(w, h, words) accepts."""
+    words = mask.words.copy()
+    used = mask.width * mask.height % 32
+    if used:
+        words[-1] |= np.uint32((0xFFFFFFFF << used) & 0xFFFFFFFF)
+    return PackedBinaryMask(mask.width, mask.height, words)
 
 
 def filled_frame(width: int, height: int, word: int = 0) -> Frame:

@@ -3,15 +3,12 @@
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
 """
 
-import math
 import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 from scipy import signal
 
-from colortrack import imaging
 from colortrack.cli import main as cli_main
 from colortrack.control import (ControllerState, LoopSpec, PlantModel,
                                 design_gains, discretize, pi_step)
@@ -23,8 +20,8 @@ from colortrack.region import ScanParams, find_initial_run, trace_contour
 from colortrack.segmentation import (ChromaThreshold, PackedBinaryMask,
                                      RgbBoxThreshold, chromaticity,
                                      segment_chroma, segment_rgb)
-from oracles import (closed_loop_tf, mask_get, mask_set, po_from_damping,
-                     retention, zeros_mask)
+from oracles import (closed_loop_tf, flood_oracle, mask_get, mask_set,
+                     naive_verdict, po_from_damping, retention, zeros_mask)
 
 
 def report(num, desc, passed):
@@ -46,19 +43,8 @@ def test_criterion_1_codec_exhaustive():
 
 def _verdict_table(threshold):
     """Per-word segmentation verdict computed with scalar arithmetic only."""
-    table = np.zeros(0x10000, dtype=bool)
-    for w in range(0x10000):
-        r, g, b = widen(w)
-        if isinstance(threshold, RgbBoxThreshold):
-            table[w] = (threshold.r_min <= r <= threshold.r_max
-                        and threshold.g_min <= g <= threshold.g_max
-                        and threshold.b_min <= b <= threshold.b_max)
-        else:
-            i = r + g + b
-            table[w] = (i >= threshold.i_min and i > 0
-                        and threshold.r_min <= r / i <= threshold.r_max
-                        and threshold.g_min <= g / i <= threshold.g_max)
-    return table
+    return np.array([naive_verdict(*widen(w), threshold)
+                     for w in range(0x10000)])
 
 
 def test_criterion_2_segmentation_oracle_equivalence():
@@ -114,26 +100,6 @@ def test_criterion_3_chromaticity_invariance():
            ok and chroma_ok and rgb_ok)
 
 
-def _flood_bbox(bits, seed):
-    h, w = bits.shape
-    seen = np.zeros_like(bits)
-    stack = [seed]
-    seen[seed[1], seed[0]] = True
-    xs, ys = [], []
-    while stack:
-        x, y = stack.pop()
-        xs.append(x)
-        ys.append(y)
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                nx, ny = x + dx, y + dy
-                if (0 <= nx < w and 0 <= ny < h and bits[ny, nx]
-                        and not seen[ny, nx]):
-                    seen[ny, nx] = True
-                    stack.append((nx, ny))
-    return min(ys), max(ys), min(xs), max(xs)
-
-
 def test_criterion_4_contour_matches_flood_fill():
     start = time.perf_counter()
     ok = True
@@ -150,7 +116,7 @@ def test_criterion_4_contour_matches_flood_fill():
         row, _, right = find_initial_run(mask, ScanParams(1))
         reg = trace_contour(mask, (right, row))  # raises past the step cap
         if (reg.top, reg.bottom, reg.left, reg.right) != \
-                _flood_bbox(bits, (right, row)):
+                flood_oracle(bits, (right, row))[0]:
             ok = False
     elapsed = time.perf_counter() - start
     report(4, f"500 blob contours equal flood-fill boxes in {elapsed:.2f}s",

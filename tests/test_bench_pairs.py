@@ -118,6 +118,34 @@ def test_failed_share_per_workload_and_in_the_claim():
     assert not s["claimed_gain"]["met"]  # the change's share is larger
 
 
+@pytest.mark.parametrize("flag, value, error", [
+    ("--seeds", "170-161", "'170-161' gives seeds []"),  # an empty range
+    ("--seeds", "5", "'5' gives seeds [5]"),  # one pair: no comparison
+    ("--seeds", "3,4,3", "'3,4,3' gives seeds [3, 4, 3]"),
+    ("--parent", "missing", "'missing' is not a directory"),
+    ("--change", "missing", "'missing' is not a directory"),
+    ("--change", "bench.json", "'bench.json' is not a directory"),
+], ids=["seeds-reversed", "seeds-one", "seeds-repeated", "parent-missing",
+        "change-missing", "change-file"])
+def test_bad_seeds_or_checkout_exit_before_any_run(flag, value, error,
+                                                   tmp_path, monkeypatch,
+                                                   capsys):
+    def no_run(*args):
+        raise AssertionError("a benchmark run started")
+
+    monkeypatch.setattr(bench_pairs, "run_once", no_run)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bench.json").write_text("")
+    out = tmp_path / "out.json"
+    flags = {"--parent": str(tmp_path), "--change": str(tmp_path),
+             "--seeds": "1-2", "--out": str(out), flag: value}
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main([arg for item in flags.items() for arg in item])
+    assert exc.value.code == 2
+    assert f"argument {flag}: {error}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("claim", ["step_track", "step_track:frame_p50",
                                    "offline:frame_ms_p50", ":frame_ms_p50",
                                    "step_track:frame_ms_p50:x"])

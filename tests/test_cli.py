@@ -211,7 +211,9 @@ OUT_OF_RANGE_ITEMS = ["illumination=-1", "rgb_margin=-5",
                       "tilt_k=nan", "u_max=nan", "u_min=nan",
                       "u_min=5", "u_max=-1", "min_width=0",
                       "object_kind=star", "mode=foo",
-                      "kind=foo", "duration=0.01"]
+                      "kind=foo", "duration=0.01",
+                      # a spec the loop cannot track: ts > 8*tau on an axis
+                      "ts=2", "pan_tau=0.1", "tilt_tau=0.1"]
 
 
 @pytest.mark.parametrize("item", OUT_OF_RANGE_ITEMS)
@@ -299,10 +301,13 @@ def test_black_pick_in_rgb_mode_still_runs(capsys, tmp_path):
     (["clock", "--set", "motion_period=0"], "config key 'motion_period'"),
     (["clock", "--set", "motion_period=inf"], "config key 'motion_period'"),
     (["clock", "--set", "motion_radius=nan"], "config key 'motion_radius'"),
+    # finite, but 2*pi*t/period overflows
+    (["clock", "--set", "motion_period=1e-310"],
+     "config key 'motion_period'"),
     (["sweep", "--levels", "1.5"], "--levels"),
     (["sweep", "--levels", "1", "-0.1"], "--levels"),
-], ids=["period-0", "period-inf", "radius-nan", "levels-1.5",
-        "levels-negative"])
+], ids=["period-0", "period-inf", "radius-nan", "period-1e-310",
+        "levels-1.5", "levels-negative"])
 def test_clock_and_sweep_bad_flag_names_the_flag(capsys, tmp_path, argv, flag):
     out_file = tmp_path / "out"
     out_flag = "--csv" if argv[0] == "clock" else "--out"
@@ -348,7 +353,11 @@ def test_render_and_design_bad_flag_names_the_flag(capsys, tmp_path, argv,
 @pytest.mark.parametrize("items, keys", [
     (["u_min=0", "u_max=0"], "'u_min', 'u_max'"),
     (["motion=circular", "motion_period=nan"], "'motion', 'motion_period'"),
-], ids=["u_min=u_max", "circular-period-nan"])
+    (["motion=circular", "motion_period=1e-310"],
+     "'motion', 'motion_period'"),
+    (["kind=step_track", "ts=2"], "'kind', 'ts'"),
+], ids=["u_min=u_max", "circular-period-nan", "circular-angle-overflows",
+        "kind-and-ts"])
 def test_bad_joint_config_values_name_every_key(capsys, items, keys):
     # a rule on two keys, or a nested dataclass's own check, is applied
     # before the run and names every key given for it
@@ -366,7 +375,8 @@ CONFIG_ERROR_CASES = (
     + [["u_min=0", "u_max=0"], ["motion=circular", "motion_period=nan"],
        ["sample_time=10", "duration=1"],
        ["duration=1e308", "sample_time=1e-10"],
-       ["duration=nan"], ["sample_time=0"]])
+       ["duration=nan"], ["sample_time=0"],
+       ["motion=circular", "motion_period=1e-310"]])
 
 
 def direct_error(items) -> str:
@@ -394,12 +404,35 @@ def test_config_error_is_the_scenario_error(items):
 
 
 def test_config_error_cases_break_every_rule_a_config_can():
+    # a Scenario field's keys: its own, or its nested dataclass's flattened
+    # ones (spec -> ts, po)
+    keys = {}
+    for key, (outer, _, _) in cfgmod.KEYS.items():
+        keys.setdefault(outer or key, []).append(key)
     # parse_color passes only colours that keep their rules
     reachable = {error for names, _, error in harness.SCENARIO_RULES
-                 if not any(isinstance(cfgmod.KEYS[n][2], tuple)
-                            for n in names)}
+                 if not any(isinstance(cfgmod.KEYS[k][2], tuple)
+                            for n in names for k in keys[n])}
     broken = {direct_error(items) for items in CONFIG_ERROR_CASES}
     assert reachable - broken == set()
+
+
+def test_infeasible_spec_is_refused_only_when_tracking(capsys, tmp_path):
+    # clock tracks nothing, so its axes need no gains
+    code, _, _ = run(capsys, "clock", "--set", "pan_tau=0.1",
+                     "--set", "duration=0.5")
+    assert code == 0
+    # the other commands' scenario is step_track, as with kind=foo
+    img = tmp_path / "still.ppm"
+    imaging.write_ppm(filled_frame(4, 4, 0), img)
+    out_file = tmp_path / "out.ppm"
+    for argv in (["segment", str(img), "--pick", "1,2,3"],
+                 ["render", "--out", str(out_file)], ["sweep"]):
+        code, out, err = run(capsys, *argv, "--set", "ts=2")
+        assert (code, out) == (1, "")
+        assert err == ("error: config key 'ts': infeasible spec: step_track "
+                       "needs ts <= 8*tau on both axes\n")
+    assert not out_file.exists()
 
 
 def test_segment_pick_out_of_range_exit_code(capsys, tmp_path):

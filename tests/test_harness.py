@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from colortrack import config as cfgmod
 from colortrack import harness, segmentation
+from colortrack.control import PlantModel
 from colortrack.harness import (ObjectMotion, Scenario, TrajectoryRecord,
                                 TrajectoryRow, circle_stats, default_band,
                                 run_illumination_sweep, run_scenario,
@@ -320,6 +321,56 @@ def test_found_box_is_the_rendered_objects_box(s):
     assert row.found and (row.cx, row.cy) == (reg.center_x, reg.center_y)
 
 
+def pair(draw, values):
+    """Two different values, one for each axis."""
+    return draw(st.lists(values, min_size=2, max_size=2, unique=True))
+
+
+@st.composite
+def asymmetric_scenarios(draw):
+    """Short tracking runs whose two axes differ in every input they read.
+
+    The shape is a disk or a rectangle, which are symmetric about both axes
+    (a triangle's apex is not), and min_width is 1, because the scan reads
+    rows.
+    """
+    width, height = pair(draw, st.integers(16, 96))
+    ppd_x, ppd_y = pair(draw, st.floats(2.0, 12.0))
+    k = pair(draw, st.floats(0.2, 3.0))
+    tau = pair(draw, st.floats(0.2, 1.0))  # the stock spec needs ts <= 8*tau
+    size = draw(st.floats(1.0, 6.0))
+    half_az, half_el = width / 2 / ppd_x + size, height / 2 / ppd_y + size
+    return Scenario(
+        kind="step_track", duration=draw(st.floats(0.2, 0.5)),
+        intrinsics=CameraIntrinsics(width, height, ppd_x, ppd_y),
+        pan_model=PlantModel(k[0], tau[0]),
+        tilt_model=PlantModel(k[1], tau[1]),
+        motion=ObjectMotion(az=draw(st.floats(-half_az, half_az)),
+                            el=draw(st.floats(-half_el, half_el))),
+        object_kind=draw(st.sampled_from(("disk", "rectangle"))),
+        object_size=size, min_width=1)
+
+
+def transposed(s):
+    """The scenario with its x and y swapped: frame, optics, axes, object."""
+    intr = s.intrinsics
+    return replace(s, intrinsics=CameraIntrinsics(intr.height, intr.width,
+                                                  intr.ppd_y, intr.ppd_x),
+                   pan_model=s.tilt_model, tilt_model=s.pan_model,
+                   motion=replace(s.motion, az=s.motion.el, el=s.motion.az))
+
+
+@given(asymmetric_scenarios())
+@settings(max_examples=60, deadline=None)
+def test_transposed_scenario_gives_the_mirrored_trajectory(s):
+    # each axis is wired to its own model, pixels-per-degree and error, so
+    # swapping x and y in the inputs swaps them in every row
+    mirrored = TrajectoryRecord(
+        TrajectoryRow(r.t, r.ey, r.ex, r.uy, r.ux, r.tilt, r.pan, r.cy, r.cx,
+                      r.found) for r in run_scenario(s)[0])
+    assert repr(run_scenario(transposed(s))[0]) == repr(mirrored)
+
+
 def test_commands_never_exceed_saturation():
     s = Scenario(kind="step_track", duration=4.0, u_min=-10.0, u_max=10.0,
                  motion=ObjectMotion(az=20.0, el=15.0))
@@ -364,10 +415,9 @@ def test_trajectory_row_pickle_and_copy():
 
 def test_infeasible_spec_propagates():
     from colortrack.control import LoopSpec, PlantModel
-    s = Scenario(kind="step_track", pan_model=PlantModel(1.0, 0.1),
-                 spec=LoopSpec(ts=1.6, po=5.0))
     with pytest.raises(ValueError, match="infeasible"):
-        run_scenario(s)
+        Scenario(kind="step_track", pan_model=PlantModel(1.0, 0.1),
+                 spec=LoopSpec(ts=1.6, po=5.0))
 
 
 def test_illumination_sweep_retention():

@@ -10,41 +10,12 @@ from colortrack import region
 from colortrack.region import (RegionDescriptor, ScanParams, _runs,
                                find_initial_run, locate, trace_contour)
 from colortrack.segmentation import PackedBinaryMask, segment_rgb
-from oracles import zeros_mask
+from oracles import (flood_oracle, flood_pixels, with_trailing_bits,
+                     zeros_mask)
 
 
 def mask_from(bits):
     return PackedBinaryMask.from_bool(np.asarray(bits, dtype=bool))
-
-
-def flood_pixels(bits, seed):
-    """8-connected flood fill from seed, the independent oracle: the (x, y)
-    pixels of seed's component."""
-    h, w = bits.shape
-    seen = np.zeros_like(bits)
-    stack = [seed]
-    seen[seed[1], seed[0]] = True
-    pixels = []
-    while stack:
-        x, y = stack.pop()
-        pixels.append((x, y))
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                nx, ny = x + dx, y + dy
-                if (0 <= nx < w and 0 <= ny < h and bits[ny, nx]
-                        and not seen[ny, nx]):
-                    seen[ny, nx] = True
-                    stack.append((nx, ny))
-    return pixels
-
-
-def flood_oracle(bits, seed):
-    """The bounding box (top, bottom, left, right), the pixel count and the
-    mean-position centroid (x, y) of seed's component, by flood fill."""
-    xs, ys = zip(*flood_pixels(bits, seed))
-    n = len(xs)
-    return ((min(ys), max(ys), min(xs), max(xs)), n,
-            (sum(xs) / n, sum(ys) / n))
 
 
 def anchor_oracle(bits, seed):
@@ -468,16 +439,6 @@ def test_shared_encoding_gives_same_results_property(bits, min_width, pick,
     start = int(xs[pick % ys.size]), int(ys[pick % ys.size])
     assert trace_contour(mask, start, fill_count=fill, encoding=encoding) == \
         trace_contour(mask, start, fill_count=fill)
-
-
-def with_trailing_bits(mask):
-    """The same mask built from its words with every bit past width*height
-    set, as PackedBinaryMask(w, h, words) accepts."""
-    words = mask.words.copy()
-    used = mask.width * mask.height % 32
-    if used:
-        words[-1] |= np.uint32((0xFFFFFFFF << used) & 0xFFFFFFFF)
-    return PackedBinaryMask(mask.width, mask.height, words)
 
 
 def assert_band_encoding_exact(bits, min_width):

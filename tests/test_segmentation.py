@@ -17,19 +17,8 @@ from colortrack.segmentation import (ChromaThreshold, PackedBinaryMask,
                                      RgbBoxThreshold, chromaticity,
                                      segment_chroma, segment_rgb,
                                      threshold_from_pick)
-from oracles import filled_frame, mask_get, mask_set, zeros_mask
-
-
-def naive_verdict(r, g, b, threshold):
-    """Scalar segmentation rule for one pixel's widened channels."""
-    if isinstance(threshold, RgbBoxThreshold):
-        return (threshold.r_min <= r <= threshold.r_max
-                and threshold.g_min <= g <= threshold.g_max
-                and threshold.b_min <= b <= threshold.b_max)
-    i = r + g + b
-    return (i >= threshold.i_min and i > 0
-            and threshold.r_min <= r / i <= threshold.r_max
-            and threshold.g_min <= g / i <= threshold.g_max)
+from oracles import (filled_frame, mask_get, mask_set, naive_verdict,
+                     with_trailing_bits, zeros_mask)
 
 
 def naive_bits(frame, threshold):
@@ -172,15 +161,6 @@ def test_pack_without_copies_is_exact_and_independent(bits):
     assert mask_get(mask, x, y) != bits[y, x]
 
 
-def with_trailing_bits_set(mask):
-    """The same pixels, with every word bit past width*height set."""
-    words = mask.words.copy()
-    n = mask.width * mask.height
-    if n % 32:
-        words[-1] |= np.uint32((0xFFFFFFFF << (n % 32)) & 0xFFFFFFFF)
-    return PackedBinaryMask(mask.width, mask.height, words)
-
-
 @settings(max_examples=200, deadline=None)
 @given(arrays(bool, st.tuples(st.integers(1, 12), st.integers(1, 40))))
 def test_band_holds_every_set_row(bits):
@@ -188,7 +168,7 @@ def test_band_holds_every_set_row(bits):
     # set row, even with every bit past width*height set
     h = bits.shape[0]
     mask = PackedBinaryMask.from_bool(bits)
-    for m in (mask, with_trailing_bits_set(mask)):
+    for m in (mask, with_trailing_bits(mask)):
         top, band = m.band()
         stop = top + len(band)
         assert 0 <= top <= stop <= h and band.shape[1] == bits.shape[1]
@@ -226,7 +206,7 @@ def test_pbm_export_matches_per_row_reference(tmp_path, width, height):
     for _ in range(4):
         bits = rng.random((height, width)) < 0.5
         mask = PackedBinaryMask.from_bool(bits)
-        for m in (mask, with_trailing_bits_set(mask)):
+        for m in (mask, with_trailing_bits(mask)):
             seg.write_pbm(m, p)
             assert p.read_bytes() == pbm_reference(bits)
 

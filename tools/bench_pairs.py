@@ -7,7 +7,10 @@ Usage, from the root of the repository:
         --out BENCH_16.json [--claim step_track:frame_ms_p50]
 
 DIR is a checkout of each tree to compare (for example a `git archive` of
-each commit). For every workload that BENCHMARK.json declares, every seed
+each commit); each must be a directory. The seeds must be two or more and
+distinct, since a workload is compared over its pairs and one pair gives
+no quartiles. Bad seeds or checkouts exit with status 2 before any run.
+For every workload that BENCHMARK.json declares, every seed
 runs the benchmark command it declares, with `--workload W --seed S
 --seconds N --trace 0` and N its `run_seconds`, once in each checkout and
 one run at a time: the parent first on odd seeds, the change first on even
@@ -44,11 +47,25 @@ PER_PAIR = ("setup_s", "peak_rss_mb")
 
 
 def parse_seeds(text: str) -> list[int]:
-    """'161-170' or '161,163,170'."""
+    """'161-170' or '161,163,170': two or more distinct seeds."""
     if "-" in text:
         lo, hi = (int(v) for v in text.split("-"))
-        return list(range(lo, hi + 1))
-    return [int(v) for v in text.split(",")]
+        seeds = list(range(lo, hi + 1))
+    else:
+        seeds = [int(v) for v in text.split(",")]
+    if len(seeds) < 2 or len(set(seeds)) < len(seeds):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} gives seeds {seeds}; a comparison needs two or more "
+            "distinct seeds")
+    return seeds
+
+
+def checkout(text: str) -> Path:
+    """A checkout's path, which must be a directory."""
+    path = Path(text).resolve()
+    if not path.is_dir():
+        raise argparse.ArgumentTypeError(f"{text!r} is not a directory")
+    return path
 
 
 def order(seed: int) -> tuple[str, str]:
@@ -160,8 +177,8 @@ def summarize(runs, end_to_end, claim=None) -> dict:
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--parent", type=Path, required=True)
-    p.add_argument("--change", type=Path, required=True)
+    p.add_argument("--parent", type=checkout, required=True)
+    p.add_argument("--change", type=checkout, required=True)
     p.add_argument("--seeds", type=parse_seeds, required=True)
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--claim", help="WORKLOAD:METRIC")
@@ -171,8 +188,7 @@ def main(argv=None) -> int:
         claim = parse_claim(args.claim, bench) if args.claim else None
     except ValueError as e:
         p.error(str(e))
-    checkouts = {"parent": args.parent.resolve(),
-                 "change": args.change.resolve()}
+    checkouts = {"parent": args.parent, "change": args.change}
     runs = []
     for workload in (w["name"] for w in bench["workloads"]):
         for seed in args.seeds:
