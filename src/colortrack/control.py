@@ -77,6 +77,42 @@ def feasible(plant: PlantModel, spec: LoopSpec) -> bool:
     return spec.ts <= 8 * plant.tau
 
 
+def sampled_feasible(plant: PlantModel, spec: LoopSpec, t: float) -> bool:
+    """Whether sampled pole placement at period t gives plant finite PI
+    coefficients: its b is not 0 and its c0 and c1 do not overflow."""
+    try:
+        _place_sampled(plant, _target(spec).poles, t)
+    except ValueError:
+        return False
+    return True
+
+
+def _target(spec: LoopSpec) -> DesignDiagnostics:
+    """xi, wn and the continuous s-plane poles that meet spec."""
+    xi = damping_from_po(spec.po)
+    wn = 4.0 / (spec.ts * xi)
+    root = cmath.sqrt(complex(xi**2 - 1.0, 0.0))
+    return DesignDiagnostics(xi, wn, (wn * (-xi + root), wn * (-xi - root)))
+
+
+def _place_sampled(plant: PlantModel, poles: tuple[complex, complex],
+                   t: float) -> tuple[float, float]:
+    """c0 and c1 that place the sampled loop's poles at exp(s_i*t)."""
+    p1, p2 = (cmath.exp(p * t) for p in poles)
+    a = math.exp(-t / plant.tau)
+    b = (1.0 - a) * plant.k
+    if b == 0:
+        raise ValueError(f"degenerate sampled plant b/(z - a) at t={t:g} s: "
+                         f"a={a:.17g} gives b = 0")
+    c0 = (1.0 + a - (p1 + p2).real) / b
+    c1 = ((p1 * p2).real - a) / b
+    if not (math.isfinite(c0) and math.isfinite(c1)):
+        raise ValueError(f"degenerate sampled plant b/(z - a) at t={t:g} s: "
+                         f"b={b:g} gives PI coefficients c0={c0:g}, "
+                         f"c1={c1:g}, not finite")
+    return c0, c1
+
+
 def design_gains(plant: PlantModel, spec: LoopSpec,
                  t: Optional[float] = None) -> tuple[PiGains,
                                                      DesignDiagnostics]:
@@ -100,8 +136,8 @@ def design_gains(plant: PlantModel, spec: LoopSpec,
     In both forms specs with ts > 8*tau are rejected (the continuous
     design would need kp < 0), and the diagnostics report xi, wn and the
     continuous s-plane poles. Continuous gains that overflow, and a
-    sampled plant whose b rounds to 0 or whose c0 or c1 overflows, are
-    rejected too.
+    sampled plant whose b rounds to 0 or whose c0 or c1 overflows
+    (`sampled_feasible` is false), are rejected too.
     """
     if not feasible(plant, spec):
         raise ValueError(
@@ -109,31 +145,16 @@ def design_gains(plant: PlantModel, spec: LoopSpec,
             f"{8 * plant.tau:g} s (kp would be negative)")
     if t is not None and t <= 0:
         raise ValueError("sampling period must be > 0")
-    xi = damping_from_po(spec.po)
-    wn = 4.0 / (spec.ts * xi)
-    root = cmath.sqrt(complex(xi**2 - 1.0, 0.0))
-    poles = (wn * (-xi + root), wn * (-xi - root))
-    diag = DesignDiagnostics(xi, wn, poles)
+    diag = _target(spec)
     if t is None:
         kp = (8.0 * plant.tau / spec.ts - 1.0) / plant.k
-        ki = wn * wn * plant.tau / plant.k  # inf, not OverflowError
+        ki = diag.wn * diag.wn * plant.tau / plant.k  # inf, not OverflowError
         if not (math.isfinite(kp) and math.isfinite(ki)):
             raise ValueError(f"gains kp={kp:g}, ki={ki:g} are not finite "
                              f"for K={plant.k:g}, tau={plant.tau:g}, "
                              f"ts={spec.ts:g}")
         return PiGains(kp, ki), diag
-    p1, p2 = (cmath.exp(p * t) for p in poles)
-    a = math.exp(-t / plant.tau)
-    b = (1.0 - a) * plant.k
-    if b == 0:
-        raise ValueError(f"degenerate sampled plant b/(z - a) at t={t:g} s: "
-                         f"a={a:.17g} gives b = 0")
-    c0 = (1.0 + a - (p1 + p2).real) / b
-    c1 = ((p1 * p2).real - a) / b
-    if not (math.isfinite(c0) and math.isfinite(c1)):
-        raise ValueError(f"degenerate sampled plant b/(z - a) at t={t:g} s: "
-                         f"b={b:g} gives PI coefficients c0={c0:g}, "
-                         f"c1={c1:g}, not finite")
+    c0, c1 = _place_sampled(plant, diag.poles, t)
     return PiGains((c0 - c1) / 2.0, (c0 + c1) / t), diag
 
 

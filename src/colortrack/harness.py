@@ -13,8 +13,8 @@ import numpy as np
 
 from . import imaging
 from .control import (ControllerState, LoopSpec, PlantModel, design_gains,
-                      discretize, feasible, pi_step)
-from .imaging import SHAPE_KINDS, Scene, Shape, render, widen
+                      discretize, feasible, pi_step, sampled_feasible)
+from .imaging import SHAPE_KINDS, Frame, Scene, Shape, render, widen
 from .plant import CameraIntrinsics, CameraPose, error_px, plant_step
 from .region import ScanParams, locate
 # segment_chroma is imported only for benchmark/tracer.py PATCHES to wrap.
@@ -70,6 +70,15 @@ SCENARIO_RULES = (
      lambda kind, spec, *models: kind != "step_track" or all(
          feasible(m, spec) for m in models),
      "infeasible spec: step_track needs ts <= 8*tau on both axes"),
+    # each axis's controller sees the plant k*ppd pixels per unit command
+    (("kind", "spec", "sample_time", "intrinsics", "pan_model", "tilt_model"),
+     lambda kind, spec, t, intr, *models: kind != "step_track" or all(
+         _positive(m.k * ppd) and sampled_feasible(
+             PlantModel(m.k * ppd, m.tau), spec, t)
+         for m, ppd in zip(models, (intr.ppd_x, intr.ppd_y))),
+     "degenerate sampled plant: step_track needs a nonzero, finite "
+     "b = (1 - exp(-sample_time/tau))*k*ppd and finite PI coefficients on "
+     "both axes"),
     # the angle grows with t, so the last frame's is the largest
     (("duration", "sample_time", "motion"),
      lambda d, t, m: m.kind != "circular" or math.isfinite(
@@ -274,6 +283,18 @@ def run_scenario(s: Scenario) -> tuple[TrajectoryRecord, TrackingMetrics]:
     When the object is not found the controller holds its last command and
     the frame is flagged lost. Everything is deterministic for a fixed
     scenario.
+
+    After a frame that found a region, the next frame is segmented and
+    located only in its first `stop` rows, which end half the region's
+    height below the region's bottom row. A region found there that ends
+    above the crop's last row is the whole frame's region: the rows before
+    `stop` are the same in the crop and in the frame, so the first
+    qualifying run in raster order is the same run; and an 8-connected
+    component occupies consecutive rows, so a component whose bottom row
+    lies above the crop's last row cannot continue below it. Its limits,
+    centre, contour and fill are therefore bit-identical. The whole frame
+    is segmented when the crop finds no qualifying run, when the component
+    reaches the crop's last row, on the first frame and after a lost one.
     """
     intr = s.intrinsics
     threshold = s.picked_threshold()
@@ -296,15 +317,26 @@ def run_scenario(s: Scenario) -> tuple[TrajectoryRecord, TrackingMetrics]:
     pose, u = [0.0, 0.0], [0.0, 0.0]  # degrees, command
     lost = (math.nan, math.nan)  # the error of a frame with no region
     rec = TrajectoryRecord()
+    stop = intr.height  # rows the next frame is segmented down to
     for k in range(s.n_frames):
         t = k * s.sample_time
         frame = render(s.scene_at(t), CameraPose(pose[0], pose[1]), intr)
-        reg = locate(segment_rgb(frame, threshold), params)
+        reg = None
+        if stop < intr.height:
+            crop = Frame(intr.width, stop, frame.pixels[:stop])
+            reg = locate(segment_rgb(crop, threshold), params)
+            if reg is not None and reg.bottom == stop - 1:
+                reg = None  # the component may continue below the crop
         if reg is None:
+            reg = locate(segment_rgb(frame, threshold), params)
+        if reg is None:
+            stop = intr.height
             e, cx, cy = lost, -1, -1  # hold the last command
         else:
             e = error_px(reg, intr)
             cx, cy = reg.center_x, reg.center_y
+            stop = min(intr.height,
+                       reg.bottom + 1 + (reg.bottom - reg.top + 1) // 2)
             for i in axes:
                 u[i], states[i] = pi_step(states[i], coeffs[i], e[i])
         rec.append(TrajectoryRow(t, e[0], e[1], u[0], u[1], pose[0], pose[1],

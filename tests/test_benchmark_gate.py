@@ -1,4 +1,4 @@
-"""The benchmark's correctness gate, run in process on two workloads.
+"""The benchmark's correctness gate, run in process on every workload.
 
 `benchmark/test_smoke.py` runs the whole benchmark in subprocesses; this
 test runs only its gate pass, which traces one round through the names the
@@ -15,7 +15,10 @@ import pytest
 BENCHMARK = Path(__file__).parent.parent / "benchmark"
 
 
+# clock_motion's object passes every row, so the loop's crop below the last
+# region follows it both up and down the frame
 @pytest.mark.parametrize("name, frames", [("step_track", 55),
+                                          ("clock_motion", 83),
                                           ("offline_vga", 24)])
 def test_gate_pass_finds_no_problem(monkeypatch, tmp_path, name, frames):
     monkeypatch.syspath_prepend(str(BENCHMARK))

@@ -224,14 +224,19 @@ def test_out_of_range_config_value_exit_code(capsys, item):
     assert err.startswith(f"error: config key '{key}': ")
 
 
-@pytest.mark.parametrize("item", ["pan_tau=1e300", "pan_k=1e-320",
-                                  "tilt_tau=1e300", "tilt_k=1e-320"])
+DEGENERATE_PLANT_ITEMS = ["pan_tau=1e300", "pan_k=1e-320", "tilt_tau=1e300",
+                          "tilt_k=1e-320", "ppd_x=1e-320"]
+
+
+@pytest.mark.parametrize("item", DEGENERATE_PLANT_ITEMS)
 def test_degenerate_sampled_plant_exit_code(capsys, tmp_path, item):
-    # the plant passes its own checks, but its sampled form has no usable gain
+    # the plant passes its own checks, but its sampled form has no usable
+    # gain; the error comes before the run and names the key
     csv = tmp_path / "run.csv"
     code, out, err = run(capsys, "track", "--set", item, "--csv", str(csv))
     assert code == 1
-    assert err.startswith("error: degenerate sampled plant b/(z - a)")
+    assert err.startswith(f"error: config key '{item.partition('=')[0]}': "
+                          "degenerate sampled plant: ")
     assert out == ""
     assert not csv.exists()
 
@@ -376,7 +381,8 @@ CONFIG_ERROR_CASES = (
        ["sample_time=10", "duration=1"],
        ["duration=1e308", "sample_time=1e-10"],
        ["duration=nan"], ["sample_time=0"],
-       ["motion=circular", "motion_period=1e-310"]])
+       ["motion=circular", "motion_period=1e-310"]]
+    + [[item] for item in DEGENERATE_PLANT_ITEMS])
 
 
 def direct_error(items) -> str:

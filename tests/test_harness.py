@@ -388,6 +388,79 @@ def test_scenario_deterministic():
     assert m1 == m2
 
 
+def assert_rows_are_whole_frame_results(s, rec):
+    """Each row's found flag and centre are locate's on the whole frame,
+    rendered again at the row's recorded time and pose."""
+    threshold, params = s.picked_threshold(), ScanParams(s.min_width)
+    for r in rec:
+        frame = render(s.scene_at(r.t), CameraPose(r.pan, r.tilt),
+                       s.intrinsics)
+        reg = locate(segmentation.segment_rgb(frame, threshold), params)
+        assert (r.found, r.cx, r.cy) == ((False, -1, -1) if reg is None else
+                                         (True, reg.center_x, reg.center_y))
+
+
+# A 4 deg object on a 10 deg circle every 0.8 s, tracking off: on its way
+# down it moves up to 7.2 deg a frame, more than half its height, so the
+# crop below the last region misses it or cuts it off.
+FALLING = Scenario(kind="clock_motion", duration=1.0, object_size=4.0,
+                   motion=ObjectMotion(kind="circular", radius=10.0,
+                                       period=0.8))
+
+
+@st.composite
+def circling_scenarios(draw):
+    """Short runs of either kind on small frames; the object circles slowly
+    or fast, inside the view or through its edges."""
+    width, height = draw(st.integers(16, 96)), draw(st.integers(16, 96))
+    ppd_x, ppd_y = draw(st.floats(2.0, 12.0)), draw(st.floats(2.0, 12.0))
+    size = draw(st.floats(1.0, 8.0))
+    half_az, half_el = width / 2 / ppd_x, height / 2 / ppd_y
+    return Scenario(
+        kind=draw(st.sampled_from(harness.SCENARIO_KINDS)),
+        duration=draw(st.floats(0.2, 1.0)),
+        intrinsics=CameraIntrinsics(width, height, ppd_x, ppd_y),
+        motion=ObjectMotion(kind="circular",
+                            az=draw(st.floats(-half_az, half_az)),
+                            el=draw(st.floats(-half_el, half_el)),
+                            radius=draw(st.floats(0.0, 12.0)),
+                            period=draw(st.floats(0.3, 4.0)),
+                            phase=draw(st.floats(0.0, 360.0))),
+        object_kind=draw(st.sampled_from(SHAPE_KINDS)), object_size=size,
+        mode=draw(st.sampled_from(THRESHOLD_MODES)),
+        min_width=draw(st.integers(1, 4)))
+
+
+@given(circling_scenarios())
+@example(FALLING)
+@settings(max_examples=60, deadline=None)
+def test_rows_are_whole_frame_results(s):
+    # the loop segments only down to just below the last region; the rows
+    # must still be what the whole frame gives
+    assert_rows_are_whole_frame_results(s, run_scenario(s)[0])
+
+
+def test_falling_object_takes_every_crop_outcome(monkeypatch):
+    # FALLING's cropped frames keep their region, find nothing, or cut the
+    # object off at the crop's last row, where the whole frame, segmented
+    # next, gives another region
+    calls = []  # (rows segmented, region) of each locate call
+
+    def recording(mask, params, locate=harness.locate):
+        calls.append((mask.height, locate(mask, params)))
+        return calls[-1][1]
+    monkeypatch.setattr(harness, "locate", recording)
+    rec, _ = run_scenario(FALLING)
+    outcomes = set()
+    for (rows, reg), (_, whole) in zip(calls, calls[1:]):
+        if rows < FALLING.intrinsics.height:
+            outcomes.add("none" if reg is None else
+                         "kept" if reg.bottom < rows - 1 else
+                         "cut" if whole != reg else "touched")
+    assert {"none", "kept", "cut"} <= outcomes
+    assert_rows_are_whole_frame_results(FALLING, rec)
+
+
 @pytest.mark.parametrize("mode", ["chroma", "rgb"])
 def test_scenario_segments_through_harness_names(monkeypatch, mode):
     # the benchmark traces segmentation by patching these names in harness,

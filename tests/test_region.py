@@ -338,6 +338,58 @@ def test_locate_limits_match_flood_fill_property(bits, min_width):
     assert_locate_limits_match_oracle(bits, min_width)
 
 
+def test_crop_above_the_last_row_is_exact_exhaustive():
+    # the loop's crop rule on every 4x4 mask, every crop of 1-3 rows (4 is
+    # the whole mask) and every min_width: a region that ends above the
+    # crop's last row is the whole mask's, every field; the crop's region
+    # is located once for all the rows below it
+    h, w = 4, 4
+    place = np.arange(h * w).reshape(h, w)
+    for min_width in range(1, w + 1):
+        params = ScanParams(min_width)
+        full = {}
+        accepted = 0
+        for g in range(1, h):
+            for top in range(1 << (g * w)):
+                reg = locate(mask_from((top >> place[:g]) & 1 == 1), params,
+                             fill_count=True)
+                if reg is None or reg.bottom == g - 1:
+                    continue
+                for low in range(1 << ((h - g) * w)):
+                    code = top | low << (g * w)
+                    if code not in full:
+                        full[code] = repr(locate(
+                            mask_from((code >> place) & 1 == 1), params,
+                            fill_count=True))
+                    assert repr(reg) == full[code], (code, g, min_width)
+                    accepted += 1
+        assert accepted
+
+
+@st.composite
+def masks_and_crops(draw):
+    """Masks of 1-12 x 1-10 and a crop height. Some rows are left empty,
+    so components end inside the crop as well as run past it."""
+    w, h = draw(st.integers(1, 12)), draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bits = rng.random((h, w)) < draw(st.floats(0.05, 0.8))
+    bits[rng.random(h) < draw(st.floats(0.0, 0.6))] = False
+    return bits, draw(st.integers(1, h))
+
+
+@given(masks_and_crops(), st.integers(1, 4))
+@settings(max_examples=300, deadline=None)
+def test_crop_above_the_last_row_is_exact_property(mask_and_crop, min_width):
+    # when locate on the first g rows finds a region that ends above the
+    # crop's last row, it is locate's region on the whole mask, every field
+    bits, g = mask_and_crop
+    params = ScanParams(min_width)
+    reg = locate(mask_from(bits[:g]), params, fill_count=True)
+    if reg is not None and reg.bottom < g - 1:
+        assert repr(reg) == repr(locate(mask_from(bits), params,
+                                        fill_count=True))
+
+
 def disk(h, w, cx, cy, r):
     yy, xx = np.mgrid[:h, :w]
     return (xx - cx) ** 2 + (yy - cy) ** 2 <= r * r
