@@ -40,7 +40,7 @@ _BACK = tuple((2 * (m // 2) + 6) % 8 for m in range(8))
 _SWEEP = tuple(tuple(d % 8 for d in range(b + 1, b + 9)) for b in range(8))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RegionDescriptor:
     """Limits and center of one detected group of contiguous pixels."""
 

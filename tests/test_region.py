@@ -572,6 +572,23 @@ def test_locate_deterministic():
     assert a == b
 
 
+def test_descriptor_has_slots_and_round_trips():
+    import copy
+    import pickle
+    from dataclasses import replace
+    reg = RegionDescriptor(top=1, bottom=5, left=2, right=8, center_x=5,
+                           center_y=3, contour_length=12, pixel_count=30,
+                           centroid_x=5.5, centroid_y=3.25)
+    assert not hasattr(reg, "__dict__")
+    assert pickle.loads(pickle.dumps(reg)) == reg
+    assert copy.copy(reg) == reg and copy.deepcopy(reg) == reg
+    moved = replace(reg, top=0, center_y=2)
+    assert (moved.top, moved.center_y, moved.bottom) == (0, 2, 5)
+    assert reg.top == 1
+    with pytest.raises(AttributeError):
+        reg.top = 0
+
+
 def test_descriptor_serialization():
     reg = RegionDescriptor(top=1, bottom=5, left=2, right=8,
                            center_x=5, center_y=3, contour_length=12)

@@ -177,6 +177,16 @@ def test_band_holds_every_set_row(bits):
     assert (len(mask.band()[1]) == 0) == (not bits.any())
 
 
+@settings(max_examples=200, deadline=None)
+@given(arrays(bool, st.tuples(st.integers(0, 12), st.integers(0, 40))))
+def test_count_is_the_number_of_set_pixels(bits):
+    # empty, zero-area and full masks included, and every bit past
+    # width*height set, which count must not see
+    mask = PackedBinaryMask.from_bool(bits)
+    for m in (mask, with_trailing_bits(mask)):
+        assert m.count() == m.to_bool().sum() == bits.sum()
+
+
 def test_pbm_export_msb_first(tmp_path):
     bits = np.zeros((1, 8), dtype=bool)
     bits[0, 0] = True  # leftmost pixel -> MSB of the first PBM byte
@@ -380,8 +390,7 @@ def assert_every_word_matches_oracle(threshold):
 
 STOCK = Scenario()
 
-
-@pytest.mark.parametrize("threshold", [
+every_word_threshold = pytest.mark.parametrize("threshold", [
     replace(STOCK, mode="chroma").picked_threshold(),
     replace(STOCK, mode="rgb").picked_threshold(),
     replace(STOCK, mode="chroma", i_min=1).picked_threshold(),
@@ -398,8 +407,75 @@ STOCK = Scenario()
         "rgb-margin-0", "rgb-full", "chroma-full", "chroma-full-i_min-1",
         "chroma-one-third", "chroma-r-just-above-half",
         "chroma-g-just-below-third"])
+
+
+@every_word_threshold
 def test_segmenters_match_oracle_on_every_word(threshold):
     assert_every_word_matches_oracle(threshold)
+
+
+# row w of this frame is all word w, 3 pixels wide: every word once as a row
+ROW_WORDS = np.repeat(np.arange(0x10000, dtype=np.uint16)[:, None], 3, axis=1)
+
+
+@every_word_threshold
+@pytest.mark.parametrize("odd_column", [None, 0, -1],
+                         ids=["one-word", "odd-first", "odd-last"])
+def test_rows_of_one_word_match_oracle(threshold, odd_column):
+    # one word a row: the row test decides each row by its word; with one
+    # pixel of each row changed, every row is looked up
+    pixels = ROW_WORDS.copy()
+    if odd_column is not None:
+        pixels[:, odd_column] ^= 1
+    verdict = np.array([naive_verdict(r, g, b, threshold)
+                        for r, g, b in WIDENED])
+    got = segment_rgb(Frame(3, 0x10000, pixels), threshold).to_bool()
+    assert np.array_equal(got, verdict[pixels])
+
+
+ROW_KINDS = ("clear", "set", "odd", "random")
+
+
+@st.composite
+def row_frames(draw):
+    """A threshold and a frame whose rows are each of one ROW_KINDS kind:
+    one word that is clear, one word that is set, one clear word but for
+    one pixel of any word, or any words; and the rows to keep of it."""
+    t = draw(st.sampled_from([STOCK.picked_threshold(),
+                              replace(STOCK, mode="rgb").picked_threshold(),
+                              RgbBoxThreshold(0, 255, 0, 255, 0, 255)]))
+    table = seg._verdict_table(t)
+    words = {True: np.flatnonzero(table), False: np.flatnonzero(~table)}
+    width = draw(st.integers(1, 9))
+    kinds = draw(st.lists(st.sampled_from(ROW_KINDS), min_size=1,
+                          max_size=3 * seg.ROW_BLOCK))
+    word = st.integers(0, 0xFFFF)
+    rows = []
+    for kind in kinds:
+        pool = words[kind == "set"]
+        w = int(pool[draw(st.integers(0, len(pool) - 1))]) if len(pool) \
+            else draw(word)  # no clear word when every word passes
+        row = [w] * width
+        if kind == "odd":
+            row[draw(st.integers(0, width - 1))] = draw(word)
+        elif kind == "random":
+            row = draw(st.lists(word, min_size=width, max_size=width))
+        rows.append(row)
+    stop = draw(st.integers(0, len(rows)))
+    return t, np.array(rows, dtype=np.uint16), stop
+
+
+@given(row_frames())
+@settings(max_examples=200, deadline=None)
+def test_segment_matches_a_lookup_of_every_pixel(case):
+    t, pixels, stop = case
+    table = seg._verdict_table(t)
+    for frame in (Frame(pixels.shape[1], len(pixels), pixels),
+                  Frame(pixels.shape[1], stop, pixels[:stop])):  # a crop
+        got = segment_rgb(frame, t)
+        want = PackedBinaryMask.from_bool(np.take(table, frame.pixels))
+        assert (got.width, got.height) == (want.width, want.height)
+        assert np.array_equal(got.words, want.words)
 
 
 @given(st.tuples(st.integers(0, 255), st.integers(0, 255), st.integers(0, 255)),
