@@ -247,26 +247,25 @@ def segment_rgb(frame: Frame, t) -> PackedBinaryMask:
     up ROW_BLOCK rows at a time into a zeroed image: one lookup over the
     span, whose intp index temporary changes size from frame to frame,
     made 278 to 314 minor page faults per offline VGA still, and the
-    blocks make none. When the span is the whole frame, one lookup covers
-    it, as it did before rows were tested.
+    blocks make none.
 
-    So a frame with no row of one clear word pays for the row test alone.
-    On frames of random words, as minima of 15 alternations on a shared
-    2-vCPU Xeon, that took segmentation from 73 to 98 us on QVGA and from
-    352 to 422 us on VGA.
+    The gain rests on noiseless frames, whose background rows are one
+    word. A frame with no such row pays the row test and a blocked lookup
+    of every row: on frames of random words, as minima of 15 alternations
+    on a shared 2-vCPU Xeon, segmentation went from WORST_QVGA on QVGA and
+    from WORST_VGA on VGA.
     """
     table = _verdict_table(t)
     px = frame.pixels
-    if not px.size:
-        return PackedBinaryMask.from_bool(np.take(table, px))
-    lo = px.min(axis=1)
-    busy = (lo != px.max(axis=1)) | table[lo]  # not one clear word
-    if busy[0] and busy[-1]:
-        return PackedBinaryMask.from_bool(np.take(table, px))
     bits = np.zeros(px.shape, dtype=bool)
-    if busy.any():
-        stop = len(busy) - int(busy[::-1].argmax())
-        for y in range(int(busy.argmax()), stop, ROW_BLOCK):
+    if not px.size:  # a row minimum needs a column
+        return PackedBinaryMask.from_bool(bits)
+    lo = px.min(axis=1)
+    # rows that are not one clear word
+    busy = np.flatnonzero((lo != px.max(axis=1)) | table[lo])
+    if len(busy):
+        stop = busy[-1] + 1
+        for y in range(busy[0], stop, ROW_BLOCK):
             rows = slice(y, min(y + ROW_BLOCK, stop))
             # "clip" is exact, as every uint16 word indexes the table, and
             # unlike "raise" it writes straight into `out` without a buffer

@@ -2,7 +2,6 @@
 
 import importlib.util
 import json
-import sys
 from pathlib import Path
 
 import pytest
@@ -170,111 +169,3 @@ def test_claim_names_are_those_of_the_benchmark():
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     assert bench_pairs.parse_claim("offline_vga:frames_per_s", bench) == (
         "offline_vga", "frames_per_s")
-
-
-STUB = '''\
-import argparse, json, sys
-from pathlib import Path
-p = argparse.ArgumentParser()
-for flag in ("--workload", "--seed", "--seconds", "--trace"):
-    p.add_argument(flag)
-a = p.parse_args()
-side = Path.cwd().name
-with open(LOG, "a") as f:
-    f.write(f"{a.workload} {a.seed} {side} {a.trace}\\n")
-scale = 1.0 if side == "parent" else 0.5
-if a.trace == "1":
-    metrics = {"segmentation.segment.ms": scale * int(a.seed),
-               "segmentation.segment.calls": 1.0}
-else:
-    metrics = {name: scale for name in NAMES}
-print("a report line")
-print(json.dumps({"correct": True, "attempted": 10, "failed": 0,
-                  "metrics": {k: {"value": v} for k, v in metrics.items()}}))
-'''
-
-
-@pytest.fixture
-def stub_bench(tmp_path, monkeypatch):
-    """A stub benchmark command: two workloads, and checkouts named after
-    their side, so that a run's metrics say which side ran it."""
-    log = tmp_path / "log.txt"
-    stub = tmp_path / "stub.py"
-    stub.write_text(f"LOG = {str(log)!r}\n"
-                    f"NAMES = {[d['name'] for d in END_TO_END]!r}\n" + STUB)
-    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
-        "command": [sys.executable, str(stub)], "run_seconds": 0.01,
-        "workloads": [{"name": "w1"}, {"name": "w2"}],
-        "end_to_end": END_TO_END}))
-    for side in bench_pairs.SIDES:
-        (tmp_path / side).mkdir()
-    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
-    return tmp_path, log
-
-
-def test_layers_run_traced_pairs_after_the_end_to_end_ones(stub_bench):
-    root, log = stub_bench
-    out = root / "out.json"
-    code = bench_pairs.main([
-        "--parent", str(root / "parent"), "--change", str(root / "change"),
-        "--seeds", "5,6", "--out", str(out), "--layers", "3"])
-    assert code == 0
-    lines = log.read_text().split("\n")[:-1]
-    untraced = [f"{w} {s} {side} 0" for w in ("w1", "w2")
-                for s, sides in ((5, "parent change"), (6, "change parent"))
-                for side in sides.split()]
-    # the i-th traced pair runs on the i-th seed, the parent first on odd i
-    traced = [f"{w} {s} {side} 1" for w in ("w1", "w2")
-              for s, sides in ((5, "parent change"), (6, "change parent"),
-                               (5, "parent change"))
-              for side in sides.split()]
-    assert lines == untraced + traced
-    doc = json.loads(out.read_text())
-    assert [r["seed"] for r in doc["runs"]] == [5, 5, 6, 6] * 2
-    assert doc["end_to_end"]["w1"]["frame_ms_p50"]["change_wins"] == "2 of 2"
-    layers = doc["layers"]
-    assert [(r["workload"], r["seed"], r["side"], r["ran_first"])
-            for r in layers["runs"][:6]] == [
-        ("w1", 5, "parent", True), ("w1", 5, "change", False),
-        ("w1", 6, "change", True), ("w1", 6, "parent", False),
-        ("w1", 5, "parent", True), ("w1", 5, "change", False)]
-    for workload in ("w1", "w2"):
-        assert layers[workload]["parent"]["segmentation.segment.ms"] == {
-            "median": 5.0, "min": 5.0, "max": 6.0}
-        assert layers[workload]["change"]["segmentation.segment.ms"] == {
-            "median": 2.5, "min": 2.5, "max": 3.0}
-        assert layers[workload]["change"]["segmentation.segment.calls"] == {
-            "median": 1.0, "min": 1.0, "max": 1.0}
-
-
-def test_no_layers_by_default(stub_bench):
-    root, log = stub_bench
-    out = root / "out.json"
-    assert bench_pairs.main([
-        "--parent", str(root / "parent"), "--change", str(root / "change"),
-        "--seeds", "1-2", "--out", str(out)]) == 0
-    assert not log.read_text().count(" 1\n")
-    assert "layers" not in json.loads(out.read_text())
-
-
-def test_layers_summary_skips_runs_that_did_not_report():
-    runs = [{"workload": "w", "side": "parent", "metrics": {"a.ms": 1.0}},
-            {"workload": "w", "side": "parent"},
-            {"workload": "w", "side": "parent", "metrics": {"a.ms": 3.0}},
-            {"workload": "w", "side": "change"}]
-    assert bench_pairs.summarize_layers(runs) == {"w": {
-        "parent": {"a.ms": {"median": 2.0, "min": 1.0, "max": 3.0}},
-        "change": {}}}
-
-
-def test_negative_layers_exit_before_any_run(tmp_path, monkeypatch, capsys):
-    def no_run(*args):
-        raise AssertionError("a benchmark run started")
-
-    monkeypatch.setattr(bench_pairs, "run_once", no_run)
-    with pytest.raises(SystemExit) as exc:
-        bench_pairs.main(["--parent", str(tmp_path), "--change",
-                          str(tmp_path), "--seeds", "1-2", "--out",
-                          str(tmp_path / "out.json"), "--layers", "-1"])
-    assert exc.value.code == 2
-    assert "argument --layers: '-1' is negative" in capsys.readouterr().err

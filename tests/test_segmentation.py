@@ -380,17 +380,26 @@ ALL_WORDS = Frame(256, 256, np.arange(0x10000, dtype=np.uint16).reshape(256, 256
 WIDENED = [widen(w) for w in range(0x10000)]
 
 
+# row w of this frame is all word w, 3 pixels wide: every word once as a
+# row, which the row test decides by that word alone
+ROW_WORDS = Frame(3, 0x10000, np.repeat(
+    np.arange(0x10000, dtype=np.uint16)[:, None], 3, axis=1))
+
+
 def assert_every_word_matches_oracle(threshold):
     segment = (segment_rgb if isinstance(threshold, RgbBoxThreshold)
                else segment_chroma)
     expected = [naive_verdict(r, g, b, threshold) for r, g, b in WIDENED]
     got = segment(ALL_WORDS, threshold).to_bool().reshape(-1)
     assert got.tolist() == expected
+    rows = segment(ROW_WORDS, threshold).to_bool()
+    assert np.array_equal(rows, np.repeat(np.array(expected)[:, None], 3, 1))
 
 
 STOCK = Scenario()
 
-every_word_threshold = pytest.mark.parametrize("threshold", [
+
+@pytest.mark.parametrize("threshold", [
     replace(STOCK, mode="chroma").picked_threshold(),
     replace(STOCK, mode="rgb").picked_threshold(),
     replace(STOCK, mode="chroma", i_min=1).picked_threshold(),
@@ -407,30 +416,8 @@ every_word_threshold = pytest.mark.parametrize("threshold", [
         "rgb-margin-0", "rgb-full", "chroma-full", "chroma-full-i_min-1",
         "chroma-one-third", "chroma-r-just-above-half",
         "chroma-g-just-below-third"])
-
-
-@every_word_threshold
 def test_segmenters_match_oracle_on_every_word(threshold):
     assert_every_word_matches_oracle(threshold)
-
-
-# row w of this frame is all word w, 3 pixels wide: every word once as a row
-ROW_WORDS = np.repeat(np.arange(0x10000, dtype=np.uint16)[:, None], 3, axis=1)
-
-
-@every_word_threshold
-@pytest.mark.parametrize("odd_column", [None, 0, -1],
-                         ids=["one-word", "odd-first", "odd-last"])
-def test_rows_of_one_word_match_oracle(threshold, odd_column):
-    # one word a row: the row test decides each row by its word; with one
-    # pixel of each row changed, every row is looked up
-    pixels = ROW_WORDS.copy()
-    if odd_column is not None:
-        pixels[:, odd_column] ^= 1
-    verdict = np.array([naive_verdict(r, g, b, threshold)
-                        for r, g, b in WIDENED])
-    got = segment_rgb(Frame(3, 0x10000, pixels), threshold).to_bool()
-    assert np.array_equal(got, verdict[pixels])
 
 
 ROW_KINDS = ("clear", "set", "odd", "random")

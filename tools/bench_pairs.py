@@ -4,7 +4,7 @@
 Usage, from the root of the repository:
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --seeds 161-170 \
-        --out BENCH_16.json [--claim step_track:frame_ms_p50] [--layers N]
+        --out BENCH_16.json [--claim step_track:frame_ms_p50]
 
 DIR is a checkout of each tree to compare (for example a `git archive` of
 each commit); each must be a directory. The seeds must be two or more and
@@ -28,14 +28,7 @@ range, and the change's share of failed operations (its summed `failed`
 over its summed `attempted`) is no larger than the parent's; a claim that
 names no workload and end-to-end metric of BENCHMARK.json exits with
 status 2 before any run. Each
-workload reports both sides' failed shares.
-
-With --layers N, after all the end-to-end pairs, each workload runs N more
-pairs with `--trace 1` instead of `--trace 0`, the i-th on the i-th seed
-(cycling) and the parent first on odd pairs. The output's `layers` key
-holds these runs and, per workload and side, each per-layer metric's
-median, min and max over them. They support a claim, never make one: no
-end-to-end field or claim rule reads them. Nothing is written inside
+workload reports both sides' failed shares. Nothing is written inside
 either checkout except what the benchmark itself writes there.
 """
 
@@ -93,20 +86,11 @@ def parse_claim(text: str, bench: dict) -> tuple[str, str]:
     return workload, metric
 
 
-def layer_count(text: str) -> int:
-    """--layers: a count of traced pairs, zero or more."""
-    n = int(text)
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"{text!r} is negative")
-    return n
-
-
-def run_once(checkout: Path, command, workload, seed, seconds,
-             trace=0) -> dict:
+def run_once(checkout: Path, command, workload, seed, seconds) -> dict:
     """One benchmark run in `checkout`, as the runs list records it."""
     proc = subprocess.run(
         [*command, "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", str(trace)],
+         "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True)
     rec = {"returncode": proc.returncode, "correct": False}
     try:
@@ -191,28 +175,6 @@ def summarize(runs, end_to_end, claim=None) -> dict:
     return result
 
 
-def summarize_layers(runs) -> dict:
-    """Per workload and side, each per-layer metric's median, min and max.
-
-    `runs` are traced run records with workload, side and, when the run
-    reported, metrics; a metric counts the runs that report it.
-    """
-    out = {}
-    for workload in dict.fromkeys(r["workload"] for r in runs):
-        out[workload] = {}
-        for side in SIDES:
-            recs = [r["metrics"] for r in runs if "metrics" in r
-                    and r["workload"] == workload and r["side"] == side]
-            values = {}
-            for m in recs:
-                for name, value in m.items():
-                    values.setdefault(name, []).append(value)
-            out[workload][side] = {
-                name: {"median": median(v), "min": min(v), "max": max(v)}
-                for name, v in values.items()}
-    return out
-
-
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", type=checkout, required=True)
@@ -220,9 +182,6 @@ def main(argv=None) -> int:
     p.add_argument("--seeds", type=parse_seeds, required=True)
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--claim", help="WORKLOAD:METRIC")
-    p.add_argument("--layers", type=layer_count, default=0, metavar="N",
-                   help="traced pairs per workload after the end-to-end "
-                        "ones (default 0)")
     args = p.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     try:  # before any run, so a bad claim costs no benchmark time
@@ -230,41 +189,26 @@ def main(argv=None) -> int:
     except ValueError as e:
         p.error(str(e))
     checkouts = {"parent": args.parent, "change": args.change}
-    workloads = [w["name"] for w in bench["workloads"]]
-    runs, layer_runs = [], []
-
-    def run_pair(into, workload, seed, sides, trace):
-        for i, side in enumerate(sides):
-            rec = {"workload": workload, "seed": seed, "side": side,
-                   "ran_first": i == 0,
-                   **run_once(checkouts[side], bench["command"], workload,
-                              seed, bench["run_seconds"], trace)}
-            into.append(rec)
-            print(json.dumps({k: rec.get(k) for k in
-                              ("workload", "seed", "side", "returncode",
-                               "metrics")}), flush=True)
-            doc = {"seeds": args.seeds,
-                   "quartiles": "statistics.quantiles(n=4, "
-                                "method='inclusive') over each side's runs",
-                   **summarize(runs, bench["end_to_end"], claim),
-                   "runs": runs}
-            if args.layers:
-                doc["layers"] = {
-                    "about": f"{args.layers} pairs a workload with --trace "
-                             "1, after the end-to-end pairs, the parent "
-                             "first on odd pairs; per metric the median, "
-                             "min and max of each side's runs",
-                    **summarize_layers(layer_runs), "runs": layer_runs}
-            args.out.write_text(json.dumps(doc, indent=1) + "\n")
-
-    for workload in workloads:
+    runs = []
+    for workload in (w["name"] for w in bench["workloads"]):
         for seed in args.seeds:
-            run_pair(runs, workload, seed, order(seed), 0)
-    for workload in workloads:
-        for i in range(args.layers):
-            run_pair(layer_runs, workload, args.seeds[i % len(args.seeds)],
-                     order(i + 1), 1)
-    return 0 if all(r["correct"] for r in runs + layer_runs) else 1
+            for i, side in enumerate(order(seed)):
+                rec = {"workload": workload, "seed": seed, "side": side,
+                       "ran_first": i == 0,
+                       **run_once(checkouts[side], bench["command"],
+                                  workload, seed, bench["run_seconds"])}
+                runs.append(rec)
+                print(json.dumps({k: rec.get(k) for k in
+                                  ("workload", "seed", "side", "returncode",
+                                   "metrics")}), flush=True)
+                doc = {"seeds": args.seeds,
+                       "quartiles": "statistics.quantiles(n=4, "
+                                    "method='inclusive') over each side's "
+                                    "runs",
+                       **summarize(runs, bench["end_to_end"], claim),
+                       "runs": runs}
+                args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    return 0 if all(r["correct"] for r in runs) else 1
 
 
 if __name__ == "__main__":
