@@ -9,11 +9,12 @@ table is its own comparisons over them, kept for the next call, and a
 pixel's verdict is one lookup (Bruce, Balch & Veloso, CMVision, IROS
 2000).
 
-Most rows of a tracking frame or a still are one background word. A row
-whose minimum word equals its maximum holds that word w in every pixel,
-so one entry, table[w], decides the whole row; when it is clear, the row
-stays zero. `segment_rgb` looks up only the rows from the first row that
-is not one clear word to the last one, in blocks of ROW_BLOCK rows.
+Most rows of a noiseless tracking frame or still are one background
+word. A row whose minimum word equals its maximum holds that word w in
+every pixel, so one entry, table[w], decides the whole row; when it is
+clear, the row stays zero. `segment_rgb` looks up only the rows from the
+first row that is not one clear word to the last one, in blocks of
+ROW_BLOCK rows.
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ CHROMA_MARGIN = 0.05
 
 THRESHOLD_MODES = ("rgb", "chroma")  # the spaces threshold_from_pick accepts
 
-# Rows per lookup when only part of a frame is looked up. A block's index
-# temporary, at most 32 rows of intp words (160 KB on VGA), has one size
-# whatever the span, so malloc reuses it and no lookup maps fresh pages.
+# Rows per lookup. A block's index temporary, at most 32 rows of intp
+# words (160 KB on VGA), has one size whatever the span, so malloc reuses
+# it and no lookup maps fresh pages.
 ROW_BLOCK = 32
 
 
@@ -252,8 +253,8 @@ def segment_rgb(frame: Frame, t) -> PackedBinaryMask:
     The gain rests on noiseless frames, whose background rows are one
     word. A frame with no such row pays the row test and a blocked lookup
     of every row: on frames of random words, as minima of 15 alternations
-    on a shared 2-vCPU Xeon, segmentation went from WORST_QVGA on QVGA and
-    from WORST_VGA on VGA.
+    on a shared 2-vCPU Xeon, segmentation went from 73 to 120 us on QVGA
+    and from 370 to 410 us on VGA against one lookup of every pixel.
     """
     table = _verdict_table(t)
     px = frame.pixels
