@@ -15,8 +15,7 @@ from .imaging import Frame, Scene, Shape, decode, encode, narrow, render, widen
 from .plant import CameraIntrinsics, CameraPose, error_px, plant_step
 from .region import RegionDescriptor, ScanParams, locate, trace_contour
 from .segmentation import (ChromaThreshold, PackedBinaryMask, RgbBoxThreshold,
-                           chromaticity, segment_chroma, segment_rgb,
-                           threshold_from_pick)
+                           chromaticity, segment_rgb, threshold_from_pick)
 
 __all__ = [
     "ControllerState", "DesignDiagnostics", "IncrementalCoeffs", "LoopSpec",
@@ -28,6 +27,6 @@ __all__ = [
     "CameraIntrinsics", "CameraPose", "error_px", "plant_step",
     "RegionDescriptor", "ScanParams", "locate", "trace_contour",
     "ChromaThreshold", "PackedBinaryMask", "RgbBoxThreshold", "chromaticity",
-    "segment_chroma", "segment_rgb", "threshold_from_pick",
+    "segment_rgb", "threshold_from_pick",
 ]
 __version__ = "0.1.0"

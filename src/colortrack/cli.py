@@ -104,9 +104,6 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     scenario = _scenario_from_args(args)
-    with _flags("--levels"):
-        for level in args.levels:
-            replace(scenario, illumination=level)
     # a colour that renders black in full light is at fault at any level
     replace(scenario, illumination=1.0, mode="chroma").picked_threshold()
     with _flags("--levels"):
@@ -202,7 +199,3 @@ def main(argv=None) -> int:
     except (ValueError, OSError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 
@@ -180,8 +180,8 @@ class ControllerState:
 
     u_prev: float = 0.0
     e_prev: float = 0.0
-    u_min: float = -1.0
-    u_max: float = 1.0
+    u_min: float = field(kw_only=True)
+    u_max: float = field(kw_only=True)
 
     def __post_init__(self):
         if not self.u_min < self.u_max:
@@ -201,4 +201,4 @@ def pi_step(state: ControllerState, coeffs: IncrementalCoeffs,
         raise ValueError(f"non-finite error input: {e}")
     u_raw = state.u_prev + state.e_prev * coeffs.c1 + e * coeffs.c0
     u = min(max(u_raw, state.u_min), state.u_max)
-    return u, ControllerState(u, e, state.u_min, state.u_max)
+    return u, ControllerState(u, e, u_min=state.u_min, u_max=state.u_max)

@@ -156,10 +156,6 @@ class Scenario:
     def n_frames(self) -> int:
         return int(round(self.duration / self.sample_time))
 
-    @property
-    def tracking(self) -> bool:
-        return self.kind == "step_track"
-
     def scene_at(self, t: float) -> Scene:
         az, el = self.motion.at(t)
         shape = Shape(self.object_kind, az, el, self.object_size,
@@ -213,11 +209,12 @@ class TrajectoryRow(NamedTuple):
 _ROW_WIDTH = len(TrajectoryRow._fields)
 
 
-class TrajectoryRecord(Sequence):
+class TrajectoryRecord:
     """The rows of one run, packed ten doubles a row into one array('d').
 
-    A row is rebuilt as a TrajectoryRow only when one is asked for; the
-    integer and boolean fields are exact in a double. Records compare by
+    A row is rebuilt as a TrajectoryRow only when it is indexed, and
+    iteration indexes rows until IndexError; the integer and boolean
+    fields are exact in a double. Records compare by
     their bytes, so two runs with the same lost (NaN) frames are equal, and
     the repr shows every value exactly.
     """
@@ -235,10 +232,7 @@ class TrajectoryRecord(Sequence):
     def __len__(self) -> int:
         return len(self._values) // _ROW_WIDTH
 
-    def __getitem__(self, i: int | slice):
-        """One row, or a new record of the rows a slice selects."""
-        if isinstance(i, slice):
-            return TrajectoryRecord(map(self.__getitem__, range(len(self))[i]))
+    def __getitem__(self, i: int) -> TrajectoryRow:
         i = range(len(self))[i]  # negative from the end; IndexError past it
         v = self._values[i * _ROW_WIDTH:(i + 1) * _ROW_WIDTH]
         return TrajectoryRow(*v[:7], int(v[7]), int(v[8]), bool(v[9]))
@@ -301,7 +295,7 @@ def run_scenario(s: Scenario) -> tuple[TrajectoryRecord, TrackingMetrics]:
     params = ScanParams(s.min_width)
     # Each axis pair is (pan, tilt), as error_px and CameraPose read them.
     models = (s.pan_model, s.tilt_model)
-    axes = (0, 1) if s.tracking else ()
+    axes = (0, 1) if s.kind == "step_track" else ()
 
     # The controller acts on pixel error while the plant moves in degrees,
     # so the loop gain seen by the controller includes pixels-per-degree.

@@ -99,10 +99,6 @@ class Frame:
         object.__setattr__(self, "pixels", px)
         self.pixels.setflags(write=False)
 
-    def widened(self) -> np.ndarray:
-        """8-bit channels, shape (height, width, 3)."""
-        return widen_channels(self.pixels)
-
 
 SHAPE_KINDS = ("disk", "triangle", "rectangle")
 
@@ -225,7 +221,7 @@ def rewrite(path, data: bytes) -> None:
 def write_ppm(frame: Frame, path) -> None:
     """Write a frame as binary PPM (P6, maxval 255), widening each pixel."""
     rewrite(path, b"P6\n%d %d\n255\n" % (frame.width, frame.height)
-            + frame.widened().tobytes())
+            + widen_channels(frame.pixels).tobytes())
 
 
 # The Netpbm P6 header: magic, width, height and maxval in ASCII decimal,

@@ -155,13 +155,7 @@ class ChromaThreshold:
             raise ValueError("i_min must be >= 1")
 
 
-@dataclass(frozen=True)
-class ChromaPoint:
-    r: float
-    g: float
-
-
-def chromaticity(r, g, b) -> ChromaPoint | None:
+def chromaticity(r, g, b) -> tuple[float, float] | None:
     """Normalized (r, g) fractions; None when the pixel is pure black (I = 0).
 
     Accepts real-valued channels: the normalization is scale-invariant,
@@ -170,7 +164,7 @@ def chromaticity(r, g, b) -> ChromaPoint | None:
     i = r + g + b
     if i == 0:
         return None
-    return ChromaPoint(r / i, g / i)
+    return r / i, g / i
 
 
 def threshold_from_pick(color: tuple[int, int, int], mode: str, *,
@@ -190,9 +184,10 @@ def threshold_from_pick(color: tuple[int, int, int], mode: str, *,
     cp = chromaticity(r, g, b)
     if cp is None:
         raise ValueError("cannot derive a chroma threshold from a black pick")
+    cr, cg = cp
     return ChromaThreshold(
-        max(cp.r - chroma_margin, 0.0), min(cp.r + chroma_margin, 1.0),
-        max(cp.g - chroma_margin, 0.0), min(cp.g + chroma_margin, 1.0),
+        max(cr - chroma_margin, 0.0), min(cr + chroma_margin, 1.0),
+        max(cg - chroma_margin, 0.0), min(cg + chroma_margin, 1.0),
         i_min,
     )
 

@@ -12,11 +12,14 @@ import math
 import numpy as np
 
 from colortrack.control import PiGains, PlantModel
-from colortrack.harness import SweepResult
+from colortrack.harness import ObjectMotion, SweepResult
 from colortrack.imaging import Frame
 from colortrack.plant import CameraIntrinsics, CameraPose
 from colortrack.segmentation import (WORD_BITS, PackedBinaryMask,
                                      RgbBoxThreshold)
+
+# Criterion 7's start: the object fixed near the frame's corner.
+CORNER_START = ObjectMotion(az=20.0, el=15.0)
 
 
 def zeros_mask(width: int, height: int) -> PackedBinaryMask:

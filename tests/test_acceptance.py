@@ -12,16 +12,17 @@ from scipy import signal
 from colortrack.cli import main as cli_main
 from colortrack.control import (ControllerState, LoopSpec, PlantModel,
                                 design_gains, discretize, pi_step)
-from colortrack.harness import (ObjectMotion, Scenario, run_illumination_sweep,
-                                run_scenario)
+from colortrack.harness import (CLOCK_SCENARIO, Scenario,
+                                run_illumination_sweep, run_scenario)
 from colortrack.imaging import Frame, decode, encode, narrow, widen
 from colortrack.plant import plant_step
 from colortrack.region import ScanParams, find_initial_run, trace_contour
 from colortrack.segmentation import (ChromaThreshold, PackedBinaryMask,
                                      RgbBoxThreshold, chromaticity,
                                      segment_chroma, segment_rgb)
-from oracles import (closed_loop_tf, flood_oracle, mask_get, mask_set,
-                     naive_verdict, po_from_damping, retention, zeros_mask)
+from oracles import (CORNER_START, closed_loop_tf, flood_oracle, mask_get,
+                     mask_set, naive_verdict, po_from_damping, retention,
+                     zeros_mask)
 
 
 def report(num, desc, passed):
@@ -176,7 +177,7 @@ def test_criterion_7_tracking_settling():
     start = time.perf_counter()
     s = Scenario(kind="step_track", duration=5.0,
                  spec=LoopSpec(ts=1.6, po=5.0),
-                 motion=ObjectMotion(az=20.0, el=15.0))
+                 motion=CORNER_START)
     _, metrics = run_scenario(s)
     elapsed = time.perf_counter() - start
     settle_ok = (metrics.settling_time is not None
@@ -191,10 +192,8 @@ def test_criterion_7_tracking_settling():
 
 
 def test_criterion_8_clock_motion_statistics():
-    s = Scenario(kind="clock_motion", duration=2 * 3.82,
-                 motion=ObjectMotion(kind="circular", radius=87.57 / 8.0,
-                                     period=3.82))
-    _, metrics = run_scenario(s)
+    # what `colortrack clock` runs: two revolutions of an 87.57 px circle
+    _, metrics = run_scenario(CLOCK_SCENARIO)
     report(8, f"mean radius {metrics.mean_radius:.2f} px "
               f"(87.57 +- 2), std {metrics.radius_std:.2f} px (< 4)",
            abs(metrics.mean_radius - 87.57) <= 2.0

@@ -1,4 +1,10 @@
+import importlib
+import os
+import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +16,8 @@ from colortrack.harness import Scenario
 from colortrack.imaging import Frame, Scene, Shape, render
 from colortrack.plant import CameraIntrinsics, CameraPose
 from oracles import filled_frame
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -278,16 +286,28 @@ def test_black_pick_flag_is_named(capsys, tmp_path):
     assert not sweep.exists()
 
 
-@pytest.mark.parametrize("levels", [[], ["--levels", "0.5", "0.2"]],
-                         ids=["default-levels", "dim-levels"])
+@pytest.mark.parametrize("levels", [[], ["--levels", "0.5", "0.2"],
+                                    ["--levels", "0.5", "2.0"]],
+                         ids=["default-levels", "dim-levels", "bad-levels"])
 def test_black_color_sweep_names_no_flag(capsys, tmp_path, levels):
-    # a colour that is black in full light is at fault whatever the levels
+    # a colour that is black in full light is at fault whatever the levels,
+    # even a level out of range
     sweep = tmp_path / "sweep.txt"
     code, out, err = run(capsys, "sweep", "--set", "object_color=0,0,0",
                          *levels, "--out", str(sweep))
     assert (code, out) == (1, "")
     assert err == ("error: object_color (0, 0, 0) at illumination 1: cannot "
                    "derive a chroma threshold from a black pick\n")
+    assert not sweep.exists()
+
+
+def test_sweep_bad_level_after_a_good_one_prints_nothing(capsys, tmp_path):
+    # each level is checked as the sweep reaches it, before any output
+    sweep = tmp_path / "sweep.txt"
+    code, out, err = run(capsys, "sweep", "--levels", "1", "2",
+                         "--out", str(sweep))
+    assert (code, out) == (1, "")
+    assert err == "error: --levels: illumination must be in [0, 1]\n"
     assert not sweep.exists()
 
 
@@ -507,3 +527,27 @@ def test_config_not_utf8_names_file_and_line(capsys, tmp_path):
     assert code == 1
     assert err == f"error: {cfg}:2: not UTF-8 text (byte 0xff at offset 0)\n"
     assert out == ""
+
+
+@pytest.mark.parametrize("argv, first", [
+    (["--help"], "usage: colortrack"),
+    (["track", "--set", "duration=0.5"], "settling_time_s: "),
+], ids=["help", "track"])
+def test_python_m_colortrack_runs(tmp_path, argv, first):
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-m", "colortrack", *argv],
+                          cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith(first)
+
+
+def test_console_script_is_cli_main():
+    # read with a regex: Python 3.10 has no tomllib
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    table = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text,
+                      re.M | re.S).group(1)
+    module, attr = re.fullmatch(r'colortrack = "([\w.]+):(\w+)"',
+                                table.strip()).groups()
+    assert getattr(importlib.import_module(module), attr) is main

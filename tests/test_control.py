@@ -153,7 +153,7 @@ def test_pi_step_hand_trace():
 
 def test_pi_step_rejects_non_finite():
     c = IncrementalCoeffs(1.0, 0.0)
-    state = ControllerState()
+    state = ControllerState(u_min=-1.0, u_max=1.0)
     with pytest.raises(ValueError, match="non-finite"):
         pi_step(state, c, math.nan)
 
@@ -189,6 +189,17 @@ def test_controller_state_validation():
         ControllerState(u_min=1.0, u_max=-1.0)
     with pytest.raises(ValueError):
         ControllerState(u_prev=5.0, u_min=-1.0, u_max=1.0)
+
+
+def test_controller_state_limits_are_required_keywords():
+    # the limits are the scenario's, so there is no default to fall back on
+    for args, kwargs in (((), {}), ((0.0, 0.0), {}),
+                         ((0.0, 0.0, -1.0, 1.0), {}),
+                         ((), {"u_min": -1.0}), ((), {"u_max": 1.0})):
+        with pytest.raises(TypeError):
+            ControllerState(*args, **kwargs)
+    state = ControllerState(0.5, 2.0, u_min=-1.0, u_max=1.0)
+    assert (state.u_prev, state.e_prev) == (0.5, 2.0)
 
 
 # -- discrete loop vs continuous reference -----------------------------------

@@ -19,7 +19,7 @@ from colortrack.imaging import SHAPE_KINDS, Scene, render
 from colortrack.plant import CameraIntrinsics, CameraPose
 from colortrack.region import ScanParams, locate
 from colortrack.segmentation import THRESHOLD_MODES
-from oracles import retention
+from oracles import CORNER_START, retention
 
 
 def synthetic_record(ts, exs, eys=None):
@@ -182,7 +182,7 @@ def test_equilibrium_scenario():
 
 def test_step_track_settles():
     s = Scenario(kind="step_track", duration=5.0,
-                 motion=ObjectMotion(az=20.0, el=15.0))
+                 motion=CORNER_START)
     rec, metrics = run_scenario(s)
     assert metrics.lost_frames == 0
     assert metrics.settling_time is not None
@@ -191,10 +191,7 @@ def test_step_track_settles():
 
 
 def test_clock_scenario_radius():
-    s = Scenario(kind="clock_motion", duration=2 * 3.82,
-                 motion=ObjectMotion(kind="circular", radius=87.57 / 8.0,
-                                     period=3.82))
-    rec, metrics = run_scenario(s)
+    rec, metrics = run_scenario(harness.CLOCK_SCENARIO)
     # tracking is off: the camera never moves and no command is issued
     assert all(r.pan == 0.0 and r.tilt == 0.0 and r.ux == 0.0 for r in rec)
     assert metrics.mean_radius == pytest.approx(87.57, abs=2.0)
@@ -373,7 +370,7 @@ def test_transposed_scenario_gives_the_mirrored_trajectory(s):
 
 def test_commands_never_exceed_saturation():
     s = Scenario(kind="step_track", duration=4.0, u_min=-10.0, u_max=10.0,
-                 motion=ObjectMotion(az=20.0, el=15.0))
+                 motion=CORNER_START)
     rec, _ = run_scenario(s)
     assert all(s.u_min <= r.ux <= s.u_max for r in rec)
     assert all(s.u_min <= r.uy <= s.u_max for r in rec)
@@ -546,21 +543,9 @@ def test_record_is_a_sequence_of_rows():
     assert not hasattr(rec, "rows") and not hasattr(rec, "__dict__")
 
 
-def test_record_slices_are_records():
-    rec, _ = run_scenario(Scenario(duration=0.5))
-    rec.append(LOST)
-    for s in (slice(1, 3), slice(None, None, -1), slice(4, 0, -2),
-              slice(2, 2), slice(3, 1), slice(4, 50), slice(40, 50),
-              slice(-3, None)):
-        part = rec[s]
-        assert type(part) is TrajectoryRecord
-        assert part == TrajectoryRecord(list(rec)[s])
-        assert len(part) == len(range(len(rec))[s])
-
-
 def test_record_column_matches_rows():
     s = Scenario(kind="step_track", duration=1.0,
-                 motion=ObjectMotion(az=20.0, el=15.0))
+                 motion=CORNER_START)
     rec, _ = run_scenario(s)
     rec.append(LOST)
     for name in harness.CSV_HEADER.split(","):
@@ -595,7 +580,7 @@ def test_record_repr_equal_iff_records_equal(left, right):
 
 def test_stock_runs_build_one_verdict_table():
     segmentation._verdict_table.cache_clear()
-    s = Scenario(motion=ObjectMotion(az=20.0, el=15.0))
+    s = Scenario(motion=CORNER_START)
     run_scenario(s)
     run_scenario(s)
     assert segmentation._verdict_table.cache_info().misses == 1

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from colortrack import imaging
 from colortrack.imaging import (Frame, Scene, Shape, decode, encode, narrow,
-                                render, widen)
+                                render, widen, widen_channels)
 from colortrack.plant import CameraIntrinsics, CameraPose
 
 
@@ -173,7 +173,8 @@ def test_render_illumination_monotone(kind):
                             illumination=s)
     prev = None
     for s in (0.2, 0.4, 0.6, 0.8, 1.0):
-        wide = render(scene(s), POSE, INTR).widened().astype(int)
+        wide = widen_channels(render(scene(s), POSE, INTR).pixels)
+        wide = wide.astype(int)
         if prev is not None:
             assert np.all(prev <= wide)
         prev = wide

@@ -2,6 +2,8 @@
 and it holds only code that the program itself reaches."""
 
 import ast
+import os
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -92,3 +94,18 @@ def test_exports_resolve_to_names_not_modules():
         assert hasattr(colortrack, name), name
         assert not isinstance(getattr(colortrack, name),
                               types.ModuleType), name
+
+
+def test_importing_the_package_loads_every_runtime_module():
+    # the benchmark's setup_s times `import colortrack` as the cost of
+    # loading the program, so the package must not defer its modules
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, colortrack; print(*sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+        text=True, timeout=120, check=True)
+    loaded = set(proc.stdout.split())
+    assert {"numpy"} | {f"colortrack.{m}" for m in (
+        "control", "harness", "imaging", "plant", "region",
+        "segmentation")} <= loaded

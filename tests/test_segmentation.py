@@ -36,10 +36,11 @@ def random_frame(rng, w=32, h=32):
 
 
 def test_chromaticity_examples():
-    cp = chromaticity(85, 85, 85)
-    assert cp.r == pytest.approx(1 / 3) and cp.g == pytest.approx(1 / 3)
+    r, g = chromaticity(85, 85, 85)
+    assert r == pytest.approx(1 / 3) and g == pytest.approx(1 / 3)
     assert chromaticity(100, 50, 50) == chromaticity(200, 100, 100)
-    assert chromaticity(100, 50, 50).r == 0.5
+    assert chromaticity(100, 50, 50) == (0.5, 0.25)
+    assert type(chromaticity(100, 50, 50)) is tuple
     assert chromaticity(0, 0, 0) is None
 
 
