@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from numbers import Real
 from typing import NamedTuple, Optional
@@ -214,17 +214,14 @@ class TrajectoryRecord:
 
     A row is rebuilt as a TrajectoryRow only when it is indexed, and
     iteration indexes rows until IndexError; the integer and boolean
-    fields are exact in a double. Records compare by
-    their bytes, so two runs with the same lost (NaN) frames are equal, and
-    the repr shows every value exactly.
+    fields are exact in a double. The repr shows every value exactly, so
+    two runs with the same lost (NaN) frames have the same repr.
     """
 
     __slots__ = ("_values",)
 
-    def __init__(self, rows: Iterable[TrajectoryRow] = ()):
+    def __init__(self):
         self._values = array("d")
-        for row in rows:
-            self.append(row)
 
     def append(self, row: TrajectoryRow) -> None:
         self._values.extend(row)
@@ -236,11 +233,6 @@ class TrajectoryRecord:
         i = range(len(self))[i]  # negative from the end; IndexError past it
         v = self._values[i * _ROW_WIDTH:(i + 1) * _ROW_WIDTH]
         return TrajectoryRow(*v[:7], int(v[7]), int(v[8]), bool(v[9]))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TrajectoryRecord):
-            return NotImplemented
-        return self._values.tobytes() == other._values.tobytes()
 
     def __repr__(self) -> str:
         return f"TrajectoryRecord({self._values!r})"

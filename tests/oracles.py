@@ -2,8 +2,8 @@
 
 The package holds only what its commands and loop run. What is here
 restates a piece of it the slow, obvious way (single-pixel mask access,
-the scalar segmentation rule, the flood fill, the continuous closed loop,
-the pinhole projection), or builds an input that no command builds. Each
+the scalar segmentation rule, the flood fill, the Moore contour walk, the
+continuous closed loop, the pinhole projection), or builds an input that no command builds. Each
 oracle has one copy, which every test imports.
 """
 
@@ -12,9 +12,10 @@ import math
 import numpy as np
 
 from colortrack.control import PiGains, PlantModel
-from colortrack.harness import ObjectMotion, SweepResult
+from colortrack.harness import ObjectMotion, SweepResult, TrajectoryRecord
 from colortrack.imaging import Frame
 from colortrack.plant import CameraIntrinsics, CameraPose
+from colortrack.region import RegionDescriptor
 from colortrack.segmentation import (WORD_BITS, PackedBinaryMask,
                                      RgbBoxThreshold)
 
@@ -88,6 +89,67 @@ def flood_oracle(bits, seed):
             (sum(xs) / n, sum(ys) / n))
 
 
+def anchor_oracle(bits, seed):
+    """Right end of the leftmost run on the top row of seed's component,
+    where the walk starts whichever pixel `trace_contour` is given."""
+    top, left = min((y, x) for x, y in flood_pixels(bits, seed))
+    return run_end(bits, left, top), top
+
+
+def run_end(bits, x, y):
+    """Right end of the horizontal run holding set pixel (x, y)."""
+    while x + 1 < bits.shape[1] and bits[y, x + 1]:
+        x += 1
+    return x
+
+
+_DX = (1, 1, 0, -1, -1, -1, 0, 1)  # E, NE, N, NW, W, SW, S, SE
+_DY = (0, -1, -1, -1, 0, 1, 1, 1)
+
+
+def reference_walk(bits, start):
+    """Counter-clockwise Moore walk on the numpy array, the oracle of
+    `trace_contour`'s count.
+
+    Every neighbour test is bounds-checked and the limits are updated on
+    every step. Stops by Jacob's criterion: the start is left again in the
+    direction of the first departure.
+    """
+    h, w = bits.shape
+
+    def is_set(x, y):
+        return 0 <= x < w and 0 <= y < h and bits[y, x]
+
+    sx, sy = start
+    assert is_set(sx, sy)
+    left = right = cx = sx
+    top = bottom = cy = sy
+    length = 1
+    back = 0
+    first_move = None
+    while True:
+        move = next((d % 8 for d in range(back + 1, back + 9)
+                     if is_set(cx + _DX[d % 8], cy + _DY[d % 8])), None)
+        if move is None:
+            break
+        if (cx, cy) == (sx, sy):
+            if first_move is None:
+                first_move = move
+            elif move == first_move:
+                break
+        cx += _DX[move]
+        cy += _DY[move]
+        back = (2 * (move // 2) + 6) % 8
+        left, right = min(left, cx), max(right, cx)
+        top, bottom = min(top, cy), max(bottom, cy)
+        if (cx, cy) != (sx, sy):
+            length += 1
+    return RegionDescriptor(
+        top=top, bottom=bottom, left=left, right=right,
+        center_x=int((left + right) / 2), center_y=int((top + bottom) / 2),
+        contour_length=length)
+
+
 def with_trailing_bits(mask):
     """The same mask built from its words with every bit past width*height
     set, as PackedBinaryMask(w, h, words) accepts."""
@@ -96,6 +158,14 @@ def with_trailing_bits(mask):
     if used:
         words[-1] |= np.uint32((0xFFFFFFFF << used) & 0xFFFFFFFF)
     return PackedBinaryMask(mask.width, mask.height, words)
+
+
+def record_of(rows) -> TrajectoryRecord:
+    """A record holding `rows`, appended in turn as the loop appends them."""
+    rec = TrajectoryRecord()
+    for row in rows:
+        rec.append(row)
+    return rec
 
 
 def filled_frame(width: int, height: int, word: int = 0) -> Frame:

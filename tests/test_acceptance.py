@@ -115,7 +115,7 @@ def test_criterion_4_contour_matches_flood_fill():
             bits[y, x] = True
         mask = PackedBinaryMask.from_bool(bits)
         row, _, right = find_initial_run(mask, ScanParams(1))
-        reg = trace_contour(mask, (right, row))  # raises past the step cap
+        reg = trace_contour(mask, (right, row))  # counted, not walked
         if (reg.top, reg.bottom, reg.left, reg.right) != \
                 flood_oracle(bits, (right, row))[0]:
             ok = False

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,19 +12,12 @@ from colortrack import region
 from colortrack.region import (RegionDescriptor, ScanParams, _runs,
                                find_initial_run, locate, trace_contour)
 from colortrack.segmentation import PackedBinaryMask, segment_rgb
-from oracles import (flood_oracle, flood_pixels, with_trailing_bits,
-                     zeros_mask)
+from oracles import (anchor_oracle, flood_oracle, flood_pixels,
+                     reference_walk, with_trailing_bits, zeros_mask)
 
 
 def mask_from(bits):
     return PackedBinaryMask.from_bool(np.asarray(bits, dtype=bool))
-
-
-def anchor_oracle(bits, seed):
-    """Right end of the leftmost run on the top row of seed's component,
-    where the walk must start whichever pixel it is given."""
-    top, left = min((y, x) for x, y in flood_pixels(bits, seed))
-    return run_end(bits, left, top), top
 
 
 def reference_initial_run(bits, min_width):
@@ -38,63 +33,10 @@ def reference_initial_run(bits, min_width):
     return None
 
 
-def run_end(bits, x, y):
-    """Right end of the horizontal run holding set pixel (x, y)."""
-    while x + 1 < bits.shape[1] and bits[y, x + 1]:
-        x += 1
-    return x
-
-
 def assert_fill_matches_oracle(bits, start):
     _, n, centroid = flood_oracle(bits, start)
     reg = trace_contour(mask_from(bits), start, fill_count=True)
     assert (reg.pixel_count, reg.centroid_x, reg.centroid_y) == (n, *centroid)
-
-
-_DX = (1, 1, 0, -1, -1, -1, 0, 1)  # E, NE, N, NW, W, SW, S, SE
-_DY = (0, -1, -1, -1, 0, 1, 1, 1)
-
-
-def reference_walk(bits, start):
-    """Counter-clockwise Moore walk on the numpy array, the walk's oracle.
-
-    Every neighbour test is bounds-checked and the limits are updated on
-    every step. Stops by Jacob's criterion: the start is left again in the
-    direction of the first departure.
-    """
-    h, w = bits.shape
-
-    def is_set(x, y):
-        return 0 <= x < w and 0 <= y < h and bits[y, x]
-
-    sx, sy = start
-    assert is_set(sx, sy)
-    left = right = cx = sx
-    top = bottom = cy = sy
-    length = 1
-    back = 0
-    first_move = None
-    while True:
-        move = next((d % 8 for d in range(back + 1, back + 9)
-                     if is_set(cx + _DX[d % 8], cy + _DY[d % 8])), None)
-        if move is None:
-            break
-        if (cx, cy) == (sx, sy):
-            if first_move is None:
-                first_move = move
-            elif move == first_move:
-                break
-        cx += _DX[move]
-        cy += _DY[move]
-        back = (2 * (move // 2) + 6) % 8
-        left, right = min(left, cx), max(right, cx)
-        top, bottom = min(top, cy), max(bottom, cy)
-        if (cx, cy) != (sx, sy):
-            length += 1
-    return RegionDescriptor(
-        top=top, bottom=bottom, left=left, right=right,
-        center_x=int((left + right) / 2), center_y=int((top + bottom) / 2),
-        contour_length=length)
 
 
 def test_scan_params_validation():
@@ -405,6 +347,90 @@ def test_fill_skips_disk_inside_ring_hole():
     assert (reg.centroid_x, reg.centroid_y) == (12.0, 12.0)
     reg = trace_contour(mask_from(bits), (15, 12), fill_count=True)
     assert reg.pixel_count == int(inner.sum())
+
+
+def assert_components_match_oracles(bits):
+    """Every component of bits, traced with the fill from one of its
+    pixels, equals the reference walk from its anchor, with the flood
+    fill's pixel count and centroid: holes are never filled for those."""
+    mask = mask_from(bits)
+    seen = np.zeros_like(bits)
+    for y, x in zip(*np.nonzero(bits)):
+        if seen[y, x]:
+            continue
+        start = int(x), int(y)
+        for px, py in flood_pixels(bits, start):
+            seen[py, px] = True
+        _, n, (cx, cy) = flood_oracle(bits, start)
+        assert trace_contour(mask, start, fill_count=True) == replace(
+            reference_walk(bits, anchor_oracle(bits, start)), pixel_count=n,
+            centroid_x=cx, centroid_y=cy), start
+
+
+def picture(*rows):
+    return np.array([[c == "#" for c in row] for row in rows])
+
+
+HOLED = {
+    "ring-around-island": (disk(25, 25, 12, 12, 10) & ~disk(25, 25, 12, 12, 7))
+    | disk(25, 25, 12, 12, 3),
+    "nested-rings": (disk(29, 29, 14, 14, 13) & ~disk(29, 29, 14, 14, 11))
+    | (disk(29, 29, 14, 14, 8) & ~disk(29, 29, 14, 14, 6))
+    | disk(29, 29, 14, 14, 2),
+    # the start is the head run's right end, and the cell below it is a hole
+    "hole-below-one-pixel-head": picture(".#.",
+                                         "#.#",
+                                         ".#."),
+    "hole-below-wide-head": picture("##.",
+                                    "#.#",
+                                    "###"),
+    "wide-hole-below-wide-head": picture("###..",
+                                         "#..#.",
+                                         "#...#",
+                                         "#####"),
+    "hole-gaps-overlapping": picture("#####.",
+                                     "#..###",
+                                     "#...#.",
+                                     "##..##",
+                                     "######"),
+    "hole-gaps-touching-diagonally": picture("#####",
+                                             "#.###",
+                                             "##.##",
+                                             "###.#",
+                                             "#####"),
+}
+
+
+@pytest.mark.parametrize("name", HOLED)
+def test_holed_components_match_walk_and_flood_fill(name, monkeypatch):
+    calls = []
+    holes = region._holes
+    monkeypatch.setattr(region, "_holes",
+                        lambda *args: calls.append(args) or holes(*args))
+    assert_components_match_oracles(HOLED[name])
+    assert calls  # the hole pass ran
+
+
+@st.composite
+def punched_shapes(draw):
+    """A filled rectangle or ellipse of 3-20 x 3-20 pixels with some of its
+    pixels punched out."""
+    h, w = draw(st.integers(3, 20)), draw(st.integers(3, 20))
+    if draw(st.booleans()):
+        bits = np.ones((h, w), dtype=bool)
+    else:
+        yy, xx = np.mgrid[:h, :w]
+        bits = ((2 * xx + 1 - w) / w) ** 2 + ((2 * yy + 1 - h) / h) ** 2 <= 1
+    punched = st.tuples(st.integers(0, w - 1), st.integers(0, h - 1))
+    for x, y in draw(st.lists(punched, max_size=h * w // 3)):
+        bits[y, x] = False
+    return bits
+
+
+@given(punched_shapes())
+@settings(max_examples=150, deadline=None)
+def test_punched_shapes_match_walk_and_flood_fill_property(bits):
+    assert_components_match_oracles(bits)
 
 
 def test_fill_object_touching_right_and_bottom_edges():

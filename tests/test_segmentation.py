@@ -18,7 +18,7 @@ from colortrack.segmentation import (ChromaThreshold, PackedBinaryMask,
                                      segment_chroma, segment_rgb,
                                      threshold_from_pick)
 from oracles import (filled_frame, mask_get, mask_set, naive_verdict,
-                     with_trailing_bits, zeros_mask)
+                     record_of, with_trailing_bits, zeros_mask)
 
 
 def naive_bits(frame, threshold):
@@ -227,7 +227,7 @@ def test_pbm_export_matches_per_row_reference(tmp_path, width, height):
 _FRAME = Frame(21, 9, np.random.default_rng(5).integers(0, 1 << 16, (9, 21)))
 _MASK = PackedBinaryMask.from_bool(np.random.default_rng(5).random((9, 21))
                                    < 0.5)
-_RECORD = harness.TrajectoryRecord([
+_RECORD = record_of([
     harness.TrajectoryRow(0.0, 1.5, -2.25, 0.5, -0.75, 0.0, 0.0, 161, 118,
                           True),
     harness.TrajectoryRow(0.1, np.nan, np.nan, 0.5, -0.75, 0.2, -0.1, -1, -1,
