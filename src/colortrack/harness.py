@@ -333,11 +333,10 @@ def run_scenario(s: Scenario) -> tuple[TrajectoryRecord, TrackingMetrics]:
 
 
 def settling_time(rec: TrajectoryRecord, band: float) -> Optional[float]:
-    """Earliest time after which both error components stay within the band."""
+    """Earliest time after which both error components stay within the band;
+    0 when no frame leaves it, in an empty record too."""
     if not band > 0:  # NaN too
         raise ValueError("band must be > 0")
-    if not len(rec):
-        return None
     ex = rec.column("ex")
     ey = rec.column("ey")
     # NaN (lost frames) counts as outside the band.

@@ -152,8 +152,12 @@ def trace_contour(mask: PackedBinaryMask, start: tuple[int, int], *,
         sw, s = b > 0 and bool(below[b - 1]), bool(below[b])
         se = b + 1 < w and bool(below[b + 1])
     holes = pairs - flags.count(1) + 1
+    if holes or fill_count:
+        # the component's runs as arrays, built once for the holes and the fill
+        comp = np.flatnonzero(np.frombuffer(flags, dtype=bool))
+        rows, x0s, x1s = (column[comp] for column in runs)
     if holes:
-        dropped, s_in_hole = _holes(runs, flags, top, bottom, (b, top + 1))
+        dropped, s_in_hole = _holes(rows, x0s, x1s, top, bottom, (b, top + 1))
         visits -= dropped
         s = s or s_in_hole
     # N, NE, NW and E of the start are unset, so its N8 is [W, SW or S
@@ -164,8 +168,6 @@ def trace_contour(mask: PackedBinaryMask, start: tuple[int, int], *,
     centroid = (None, None)
     if fill_count:
         # Exact integer sums, divided once; (x0 + x1) * size is always even.
-        comp = np.flatnonzero(np.frombuffer(flags, dtype=bool))
-        rows, x0s, x1s = (a[comp] for a in runs)
         size = x1s - x0s + 1
         pixel_count = int(size.sum())
         centroid = (int(((x0s + x1s) * size).sum()) // 2 / pixel_count,
@@ -248,21 +250,19 @@ def _component_runs(runs, seeds, reach: int):
     return flags, head, (rows[head], rows[tail], left, right), visits, pairs
 
 
-def _holes(runs, flags, top: int, bottom: int, cell: tuple[int, int]):
+def _holes(rows, x0s, x1s, top: int, bottom: int, cell: tuple[int, int]):
     """What filling a component's holes drops from its sum(N8), and whether
     pixel `cell` lies in a hole.
 
-    The gaps are the spans between consecutive runs of the component in
-    one row. A gap is outer background when it lies in the top or the
-    bottom row, when it reaches past the component's span in the row above
-    or below, or when it overlaps an outer gap in the row above or below
-    (4-connected); the rest are the holes. Filling them drops
-    2 * len + 2 for each hole gap, less 2 * overlap + [a != c] + [b != d]
-    for each hole gap (a, b) overlapping a hole gap (c, d) in the row
-    below.
+    The component's runs (rows, x0s, x1s) come in raster order; its gaps
+    are the spans between consecutive runs in one row. A gap is outer
+    background when it lies in the top or the bottom row, when it reaches
+    past the component's span in the row above or below, or when it
+    overlaps an outer gap in the row above or below (4-connected); the
+    rest are the holes. Filling them drops 2 * len + 2 for each hole gap,
+    less 2 * overlap + [a != c] + [b != d] for each hole gap (a, b)
+    overlapping a hole gap (c, d) in the row below.
     """
-    comp = np.flatnonzero(np.frombuffer(flags, dtype=bool))
-    rows, x0s, x1s = (a[comp] for a in runs)
     inner = rows[1:] == rows[:-1]  # run k + 1 follows run k in its row
     gy, ga, gb = rows[1:][inner], x1s[:-1][inner] + 1, x0s[1:][inner] - 1
     # each row's span, from its first run's x0 to its last run's x1

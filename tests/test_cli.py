@@ -543,6 +543,29 @@ def test_python_m_colortrack_runs(tmp_path, argv, first):
     assert proc.stdout.startswith(first)
 
 
+def readme_experiments():
+    """The arguments of each `colortrack` command in README's Experiments."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.partition("\n## Experiments\n")[2].partition("\n## ")[0]
+    return [line.split()[1:] for line in section.splitlines()
+            if line.startswith("colortrack ")]
+
+
+def test_readme_lists_the_stock_experiments():
+    assert readme_experiments() == [
+        ["track", "--set", "motion_az=20", "--set", "motion_el=15"],
+        ["clock"], ["sweep"]]
+
+
+@pytest.mark.parametrize("argv", readme_experiments(), ids=lambda a: a[0])
+def test_readme_experiment_exits_zero(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out
+    assert not list(tmp_path.iterdir())  # nothing saved unless asked
+
+
 def test_console_script_is_cli_main():
     # read with a regex: Python 3.10 has no tomllib
     text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")

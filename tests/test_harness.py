@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from colortrack import config as cfgmod
 from colortrack import harness, segmentation
-from colortrack.control import PlantModel
+from colortrack.control import LoopSpec, PlantModel, design_gains, discretize
 from colortrack.harness import (ObjectMotion, Scenario, TrajectoryRecord,
                                 TrajectoryRow, circle_stats, default_band,
                                 run_illumination_sweep, run_scenario,
@@ -102,6 +102,7 @@ def test_scenario_float_color_channels_are_truncated():
 def test_settling_all_zero():
     rec = synthetic_record([0.0, 0.1, 0.2], [0.0, 0.0, 0.0])
     assert settling_time(rec, band=3.0) == 0.0
+    assert settling_time(TrajectoryRecord(), band=3.0) == 0.0
 
 
 def test_settling_never():
@@ -236,12 +237,14 @@ def short_scenarios(draw):
     half_az = intr.width / 2 / intr.ppd_x
     half_el = intr.height / 2 / intr.ppd_y
     u_max = draw(st.floats(0.5, 60.0))
+    color = st.tuples(*[st.integers(0, 255)] * 3)
     return Scenario(
         kind="step_track", duration=draw(st.floats(0.1, 0.5)),
         motion=ObjectMotion(az=draw(st.floats(-half_az, half_az)),
                             el=draw(st.floats(-half_el, half_el))),
         object_kind=draw(st.sampled_from(SHAPE_KINDS)),
         object_size=draw(st.floats(0.5, 12.0)),
+        object_color=draw(color), background=draw(color),
         mode=draw(st.sampled_from(THRESHOLD_MODES)),
         illumination=draw(st.floats(0.3, 1.0)),
         min_width=draw(st.integers(1, 6)),
@@ -262,6 +265,36 @@ def test_closed_loop_invariants(s):
         if r.found:
             assert 0 <= r.cx < intr.width and 0 <= r.cy < intr.height
     assert_lost_rows_hold_command(rec, metrics)
+
+
+def test_saturated_commands_do_not_wind_up():
+    # A plant 12 times as strong reaches the corner start with commands
+    # within +-2, and the fast spec asks for more than 2 at first.
+    plant = PlantModel(12.0, 0.2)
+    s = Scenario(kind="step_track", motion=CORNER_START, pan_model=plant,
+                 tilt_model=plant, spec=LoopSpec(ts=0.6, po=5.0),
+                 u_min=-2.0, u_max=2.0)
+    rows = list(run_scenario(s)[0])
+    for u, e, ppd in (("ux", "ex", s.intrinsics.ppd_x),
+                      ("uy", "ey", s.intrinsics.ppd_y)):
+        gains, _ = design_gains(PlantModel(plant.k * ppd, plant.tau), s.spec,
+                                s.sample_time)
+        c = discretize(gains, s.sample_time)
+        released = 0
+        assert all(s.u_min <= getattr(r, u) <= s.u_max for r in rows)
+        for prev, row in zip(rows, rows[1:]):
+            if not (prev.found and row.found):
+                continue
+            u0, e0, u1, e1 = (getattr(prev, u), getattr(prev, e),
+                              getattr(row, u), getattr(row, e))
+            # the clamped incremental law, with pi_step's order of sums
+            assert u1 == min(s.u_max,
+                             max(s.u_min, u0 + c.c1 * e0 + c.c0 * e1))
+            if u0 == s.u_max and c.c1 * e0 + c.c0 * e1 < 0:
+                # the first step back from the limit leaves it: no windup
+                assert u1 < s.u_max
+                released += 1
+        assert released
 
 
 HALF_AZ = CameraIntrinsics().width / 2 / CameraIntrinsics().ppd_x

@@ -15,9 +15,9 @@ import colortrack
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "colortrack").glob("*.py"))
 # Everything that is the program rather than its tests: the package, and
-# the benchmark, scripts and tools that run it. The package's own exports
-# do not count as a use.
-PROGRAM = sorted(p for top in ("src", "benchmark", "scripts", "tools")
+# the benchmark and tools that run it. The package's own exports do not
+# count as a use.
+PROGRAM = sorted(p for top in ("src", "benchmark", "tools")
                  for p in (ROOT / top).rglob("*.py")
                  if p != ROOT / "src" / "colortrack" / "__init__.py")
 

@@ -20,7 +20,7 @@ from colortrack.cli import main
 CRITERION_9_CONFIG = ("kind = step_track\nduration = 2.0\n"
                       "motion = fixed\nmotion_az = 15\nmotion_el = -10\n")
 
-# The corner start of scripts/run_step_track.py.
+# Criterion 7's corner start, README's `track` experiment.
 CORNER = ("--set", "kind=step_track", "--set", "duration=5.0",
           "--set", "motion_az=20", "--set", "motion_el=15")
 
