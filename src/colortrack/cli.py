@@ -33,6 +33,9 @@ def _load_frame(args) -> imaging.Frame:
         if args.width is None or args.height is None:
             raise ValueError("raw .rgb565 input needs --width and --height")
         return imaging.read_rgb565(args.image, args.width, args.height)
+    if args.width is not None or args.height is not None:
+        raise ValueError("--width, --height: only raw .rgb565 input takes "
+                         "a size; a PPM gives its own")
     return imaging.read_ppm(args.image)
 
 

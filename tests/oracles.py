@@ -2,18 +2,20 @@
 
 The package holds only what its commands and loop run. What is here
 restates a piece of it the slow, obvious way (single-pixel mask access,
-the scalar segmentation rule, the flood fill, the Moore contour walk, the
-continuous closed loop, the pinhole projection), or builds an input that no command builds. Each
-oracle has one copy, which every test imports.
+the scalar segmentation rule, the first-run scan, the flood fill, the
+Moore contour walk, the continuous closed loop, the pinhole projection),
+or builds an input that no command builds. Each oracle has one copy,
+which every test imports.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from colortrack.control import PiGains, PlantModel
 from colortrack.harness import ObjectMotion, SweepResult, TrajectoryRecord
-from colortrack.imaging import Frame
+from colortrack.imaging import Frame, widen
 from colortrack.plant import CameraIntrinsics, CameraPose
 from colortrack.region import RegionDescriptor
 from colortrack.segmentation import (WORD_BITS, PackedBinaryMask,
@@ -21,6 +23,9 @@ from colortrack.segmentation import (WORD_BITS, PackedBinaryMask,
 
 # Criterion 7's start: the object fixed near the frame's corner.
 CORNER_START = ObjectMotion(az=20.0, el=15.0)
+
+# The widened (r, g, b) of each RGB565 word, in word order.
+WIDENED = [widen(w) for w in range(0x10000)]
 
 
 def zeros_mask(width: int, height: int) -> PackedBinaryMask:
@@ -59,6 +64,12 @@ def naive_verdict(r, g, b, threshold):
             and threshold.g_min <= g / i <= threshold.g_max)
 
 
+def verdict_oracle(threshold) -> np.ndarray:
+    """`naive_verdict` of each of the 65,536 RGB565 words, in word order."""
+    return np.array([naive_verdict(r, g, b, threshold)
+                     for r, g, b in WIDENED])
+
+
 def flood_pixels(bits, seed):
     """8-connected flood fill from seed, the independent oracle: the (x, y)
     pixels of seed's component."""
@@ -87,20 +98,6 @@ def flood_oracle(bits, seed):
     n = len(xs)
     return ((min(ys), max(ys), min(xs), max(xs)), n,
             (sum(xs) / n, sum(ys) / n))
-
-
-def anchor_oracle(bits, seed):
-    """Right end of the leftmost run on the top row of seed's component,
-    where the walk starts whichever pixel `trace_contour` is given."""
-    top, left = min((y, x) for x, y in flood_pixels(bits, seed))
-    return run_end(bits, left, top), top
-
-
-def run_end(bits, x, y):
-    """Right end of the horizontal run holding set pixel (x, y)."""
-    while x + 1 < bits.shape[1] and bits[y, x + 1]:
-        x += 1
-    return x
 
 
 _DX = (1, 1, 0, -1, -1, -1, 0, 1)  # E, NE, N, NW, W, SW, S, SE
@@ -148,6 +145,48 @@ def reference_walk(bits, start):
         top=top, bottom=bottom, left=left, right=right,
         center_x=int((left + right) / 2), center_y=int((top + bottom) / 2),
         contour_length=length)
+
+
+def component_oracles(bits):
+    """Each 8-connected component of bits, in raster order of its first
+    pixel, by one flood fill and one reference walk.
+
+    Returns a list of (pixels, walk, filled): the component's (x, y)
+    pixels, the leftmost of its top row first; `reference_walk` from the
+    right end of its first run, where `trace_contour`'s count starts; and
+    that walk with the flood fill's pixel count and mean-position centroid.
+    """
+    seen = np.zeros_like(bits)
+    components = []
+    for y, x in zip(*np.nonzero(bits)):
+        if seen[y, x]:
+            continue
+        x, y = int(x), int(y)
+        pixels = flood_pixels(bits, (x, y))
+        xs, ys = zip(*pixels)
+        seen[ys, xs] = True
+        while x + 1 < bits.shape[1] and bits[y, x + 1]:
+            x += 1
+        walk = reference_walk(bits, (x, y))
+        n = len(pixels)
+        components.append((pixels, walk, replace(
+            walk, pixel_count=n, centroid_x=sum(xs) / n,
+            centroid_y=sum(ys) / n)))
+    return components
+
+
+def reference_initial_run(bits, min_width):
+    """Per-row scan for the first run of >= min_width set pixels:
+    (row, left, right), or None."""
+    for y in range(bits.shape[0]):
+        cols = np.flatnonzero(bits[y])
+        if cols.size == 0:
+            continue
+        breaks = np.flatnonzero(np.diff(cols) > 1)
+        for run in np.split(cols, breaks + 1):
+            if run.size >= min_width:
+                return y, int(run[0]), int(run[-1])
+    return None
 
 
 def with_trailing_bits(mask):

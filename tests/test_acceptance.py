@@ -21,7 +21,7 @@ from colortrack.segmentation import (ChromaThreshold, PackedBinaryMask,
                                      RgbBoxThreshold, chromaticity,
                                      segment_chroma, segment_rgb)
 from oracles import (CORNER_START, closed_loop_tf, flood_oracle, mask_get,
-                     mask_set, naive_verdict, po_from_damping, retention,
+                     mask_set, po_from_damping, retention, verdict_oracle,
                      zeros_mask)
 
 
@@ -42,19 +42,13 @@ def test_criterion_1_codec_exhaustive():
            ok and elapsed < 1.0)
 
 
-def _verdict_table(threshold):
-    """Per-word segmentation verdict computed with scalar arithmetic only."""
-    return np.array([naive_verdict(*widen(w), threshold)
-                     for w in range(0x10000)])
-
-
 def test_criterion_2_segmentation_oracle_equivalence():
     start = time.perf_counter()
     rng = np.random.default_rng(2024)
     rgb_t = RgbBoxThreshold(40, 200, 10, 220, 30, 240)
     chroma_t = ChromaThreshold(0.2, 0.6, 0.1, 0.5, i_min=30)
-    tables = {id(rgb_t): _verdict_table(rgb_t),
-              id(chroma_t): _verdict_table(chroma_t)}
+    tables = {id(rgb_t): verdict_oracle(rgb_t),
+              id(chroma_t): verdict_oracle(chroma_t)}
     ok = True
     for _ in range(1000):
         words = rng.integers(0, 0x10000, (32, 32)).astype(np.uint16)

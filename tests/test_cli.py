@@ -488,15 +488,21 @@ def test_segment_bad_threshold_flag_names_the_flag(capsys, tmp_path, item):
     assert out == ""
 
 
-@pytest.mark.parametrize("payload, dims, message", [
-    (b"", ["--width", "0", "--height", "0"], "bad raw dimensions 0x0"),
-    (b"\x00" * 12, ["--width", "-2", "--height", "-3"],
+@pytest.mark.parametrize("name, payload, dims, message", [
+    ("frame.rgb565", b"", ["--width", "0", "--height", "0"],
+     "bad raw dimensions 0x0"),
+    ("frame.rgb565", b"\x00" * 12, ["--width", "-2", "--height", "-3"],
      "bad raw dimensions -2x-3"),
-    (b"\x00" * 12, [], "raw .rgb565 input needs --width and --height"),
-], ids=["0x0", "-2x-3", "no-dimensions"])
-def test_segment_bad_raw_dimensions_exit_code(capsys, tmp_path, payload,
-                                              dims, message):
-    raw = tmp_path / "frame.rgb565"
+    ("frame.rgb565", b"\x00" * 12, [],
+     "raw .rgb565 input needs --width and --height"),
+    ("frame.ppm", b"P6\n7 3\n255\n" + b"\x00" * 63,
+     ["--width", "7", "--height", "3"],
+     "--width, --height: only raw .rgb565 input takes a size; "
+     "a PPM gives its own"),
+], ids=["0x0", "-2x-3", "no-dimensions", "ppm-with-dimensions"])
+def test_segment_bad_raw_dimensions_exit_code(capsys, tmp_path, name,
+                                              payload, dims, message):
+    raw = tmp_path / name
     raw.write_bytes(payload)
     code, out, err = run(capsys, "segment", str(raw), "--pick", "1,2,3",
                          *dims)

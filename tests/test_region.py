@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,31 +10,56 @@ from colortrack import region
 from colortrack.region import (RegionDescriptor, ScanParams, _runs,
                                find_initial_run, locate, trace_contour)
 from colortrack.segmentation import PackedBinaryMask, segment_rgb
-from oracles import (anchor_oracle, flood_oracle, flood_pixels,
-                     reference_walk, with_trailing_bits, zeros_mask)
+from oracles import (component_oracles, reference_initial_run,
+                     with_trailing_bits, zeros_mask)
 
 
 def mask_from(bits):
     return PackedBinaryMask.from_bool(np.asarray(bits, dtype=bool))
 
 
-def reference_initial_run(bits, min_width):
-    """Per-row scan for the first run of >= min_width set pixels."""
-    for y in range(bits.shape[0]):
-        cols = np.flatnonzero(bits[y])
-        if cols.size == 0:
-            continue
-        breaks = np.flatnonzero(np.diff(cols) > 1)
-        for run in np.split(cols, breaks + 1):
-            if run.size >= min_width:
-                return y, int(run[0]), int(run[-1])
-    return None
+def set_pixels(bits):
+    ys, xs = np.nonzero(bits)
+    return list(zip(xs.tolist(), ys.tolist()))
 
 
-def assert_fill_matches_oracle(bits, start):
-    _, n, centroid = flood_oracle(bits, start)
-    reg = trace_contour(mask_from(bits), start, fill_count=True)
-    assert (reg.pixel_count, reg.centroid_x, reg.centroid_y) == (n, *centroid)
+def assert_mask_matches_oracles(bits, min_widths=(1, 2, 3), starts=None):
+    """The region core on one mask against the oracles.
+
+    `_encode` of the mask, and of its trailing-bits twin, holds the mask's
+    rows and `_runs`. `trace_contour` from each of `starts` (by default the
+    first pixel of each component) equals the walk of its component, and
+    with the fill, from the component's first start, the walk with the
+    flood fill's count and centroid. For each min_width the scan is the
+    per-row reference's, and `locate` with the fill, on the mask and on
+    its twin, is the oracle of the scan start's component.
+    """
+    mask = mask_from(bits)
+    twin = with_trailing_bits(mask)
+    runs = _runs(bits)
+    for m in (mask, twin):
+        top, band, encoded = region._encode(m)
+        assert all(np.array_equal(a, b) for a, b in zip(encoded, runs))
+        assert 0 <= top <= top + len(band) <= len(bits)
+        assert np.array_equal(band, bits[top:top + len(band)])
+        assert band.sum() == bits.sum()
+    components = component_oracles(bits)
+    for pixels, walk, filled in components:
+        traced = (pixels[:1] if starts is None
+                  else [p for p in pixels if p in starts])
+        for start in traced:
+            assert trace_contour(mask, start) == walk, start
+        if traced:
+            assert trace_contour(mask, traced[0], fill_count=True) == filled
+    for min_width in min_widths:
+        params = ScanParams(min_width)
+        run = reference_initial_run(bits, min_width)
+        assert find_initial_run(mask, params) == run, min_width
+        found = None if run is None else next(
+            filled for pixels, _, filled in components
+            if (run[2], run[0]) in pixels)
+        for m in (mask, twin):
+            assert locate(m, params, fill_count=True) == found, min_width
 
 
 def test_scan_params_validation():
@@ -123,92 +146,27 @@ def random_blob(rng, w=32, h=32, steps=60):
 
 @pytest.mark.parametrize("seed", range(25))
 def test_trace_limits_match_flood_fill(seed):
-    rng = np.random.default_rng(seed)
-    bits = random_blob(rng)
-    mask = mask_from(bits)
-    run = find_initial_run(mask, ScanParams(1))
-    row, _, right = run
-    reg = trace_contour(mask, (right, row))
-    assert (reg.top, reg.bottom, reg.left, reg.right) == \
-        flood_oracle(bits, (right, row))[0]
+    assert_mask_matches_oracles(random_blob(np.random.default_rng(seed)),
+                                (1,))
 
 
 @given(st.integers(0, 10**9))
 @settings(max_examples=60, deadline=None)
 def test_trace_limits_match_flood_fill_property(seed):
     rng = np.random.default_rng(seed)
-    bits = random_blob(rng, steps=int(rng.integers(1, 120)))
-    mask = mask_from(bits)
-    row, _, right = find_initial_run(mask, ScanParams(1))
-    reg = trace_contour(mask, (right, row))
-    assert (reg.top, reg.bottom, reg.left, reg.right) == \
-        flood_oracle(bits, (right, row))[0]
-    assert reg.contour_length <= 4 * 32 * 32
-
-
-def assert_locate_limits_match_oracle(bits, min_width):
-    reg = locate(mask_from(bits), ScanParams(min_width))
-    run = reference_initial_run(bits, min_width)
-    if run is None:
-        assert reg is None
-        return
-    box = flood_oracle(bits, (run[2], run[0]))[0]
-    assert (reg.top, reg.bottom, reg.left, reg.right) == box
+    assert_mask_matches_oracles(
+        random_blob(rng, steps=int(rng.integers(1, 120))), (1,))
 
 
 @pytest.mark.parametrize("shape", [(3, 4), (4, 3)])
-def test_exhaustive_small_masks(shape):
-    # every 3x4 and 4x3 mask: the scan against the per-row reference,
-    # locate's limits against the flood-fill oracle's box, and the fill
-    # from each start against the flood-fill oracle
+def test_every_small_mask(shape):
+    # every 3x4 and 4x3 mask, traced from every set pixel: 12 bits, so the
+    # one word has 20 trailing bits
     h, w = shape
     place = np.arange(h * w).reshape(shape)
     for code in range(1 << (h * w)):
         bits = (code >> place) & 1 == 1
-        mask = mask_from(bits)
-        starts = set()
-        for min_width in (1, 2, 3):
-            run = find_initial_run(mask, ScanParams(min_width))
-            assert run == reference_initial_run(bits, min_width), (code, min_width)
-            if run is not None:
-                starts.add((run[2], run[0]))
-            assert_locate_limits_match_oracle(bits, min_width)
-        for start in starts:
-            assert_fill_matches_oracle(bits, start)
-
-
-@pytest.mark.parametrize("shape", [(3, 4), (4, 3)])
-def test_trace_matches_reference_walk_exhaustive(shape):
-    # every field, contour_length included, from every set pixel of every
-    # mask, against the reference walk from the component's anchor
-    h, w = shape
-    place = np.arange(h * w).reshape(shape)
-    for code in range(1 << (h * w)):
-        bits = (code >> place) & 1 == 1
-        mask = mask_from(bits)
-        for y, x in zip(*np.nonzero(bits)):
-            start = int(x), int(y)
-            assert trace_contour(mask, start) == \
-                reference_walk(bits, anchor_oracle(bits, start)), (code, start)
-
-
-@pytest.mark.parametrize("shape", [(3, 4), (4, 3)])
-def test_locate_descriptor_independent_of_min_width(shape):
-    # whenever two min_widths find their first run in the same component,
-    # locate describes that component identically, contour length included
-    h, w = shape
-    place = np.arange(h * w).reshape(shape)
-    for code in range(1 << (h * w)):
-        bits = (code >> place) & 1 == 1
-        mask = mask_from(bits)
-        by_anchor = {}
-        for min_width in (1, 2, 3):
-            run = find_initial_run(mask, ScanParams(min_width))
-            if run is None:
-                continue
-            reg = locate(mask, ScanParams(min_width), fill_count=True)
-            anchor = anchor_oracle(bits, (run[2], run[0]))
-            assert by_anchor.setdefault(anchor, reg) == reg, (code, min_width)
+        assert_mask_matches_oracles(bits, starts=set_pixels(bits))
 
 
 @pytest.mark.parametrize("rows, min_width, run, limits, count", [
@@ -253,31 +211,13 @@ def test_runs_round_trip_property(bits):
     assert np.all(x0[1:][same_row] > x1[:-1][same_row] + 1)
 
 
-@given(random_masks, st.integers(0, 2**32 - 1))
+@given(random_masks, st.integers(0, 2**32 - 1), st.integers(1, 4))
 @settings(max_examples=100, deadline=None)
-def test_fill_from_any_pixel_property(bits, pick):
-    ys, xs = np.nonzero(bits)
-    if ys.size == 0:
-        return
-    assert_fill_matches_oracle(
-        bits, (int(xs[pick % ys.size]), int(ys[pick % ys.size])))
-
-
-@given(random_masks, st.integers(0, 2**32 - 1))
-@settings(max_examples=100, deadline=None)
-def test_trace_matches_reference_walk_property(bits, pick):
-    ys, xs = np.nonzero(bits)
-    if ys.size == 0:
-        return
-    start = int(xs[pick % ys.size]), int(ys[pick % ys.size])
-    assert trace_contour(mask_from(bits), start) == \
-        reference_walk(bits, anchor_oracle(bits, start))
-
-
-@given(random_masks, st.integers(1, 4))
-@settings(max_examples=100, deadline=None)
-def test_locate_limits_match_flood_fill_property(bits, min_width):
-    assert_locate_limits_match_oracle(bits, min_width)
+def test_random_masks_match_oracles_property(bits, pick, min_width):
+    # the walk and the fill from one drawn pixel
+    pixels = set_pixels(bits)
+    starts = [pixels[pick % len(pixels)]] if pixels else []
+    assert_mask_matches_oracles(bits, (min_width,), starts)
 
 
 def test_crop_above_the_last_row_is_exact_exhaustive():
@@ -349,24 +289,6 @@ def test_fill_skips_disk_inside_ring_hole():
     assert reg.pixel_count == int(inner.sum())
 
 
-def assert_components_match_oracles(bits):
-    """Every component of bits, traced with the fill from one of its
-    pixels, equals the reference walk from its anchor, with the flood
-    fill's pixel count and centroid: holes are never filled for those."""
-    mask = mask_from(bits)
-    seen = np.zeros_like(bits)
-    for y, x in zip(*np.nonzero(bits)):
-        if seen[y, x]:
-            continue
-        start = int(x), int(y)
-        for px, py in flood_pixels(bits, start):
-            seen[py, px] = True
-        _, n, (cx, cy) = flood_oracle(bits, start)
-        assert trace_contour(mask, start, fill_count=True) == replace(
-            reference_walk(bits, anchor_oracle(bits, start)), pixel_count=n,
-            centroid_x=cx, centroid_y=cy), start
-
-
 def picture(*rows):
     return np.array([[c == "#" for c in row] for row in rows])
 
@@ -407,7 +329,7 @@ def test_holed_components_match_walk_and_flood_fill(name, monkeypatch):
     holes = region._holes
     monkeypatch.setattr(region, "_holes",
                         lambda *args: calls.append(args) or holes(*args))
-    assert_components_match_oracles(HOLED[name])
+    assert_mask_matches_oracles(HOLED[name], starts=set_pixels(HOLED[name]))
     assert calls  # the hole pass ran
 
 
@@ -430,7 +352,7 @@ def punched_shapes(draw):
 @given(punched_shapes())
 @settings(max_examples=150, deadline=None)
 def test_punched_shapes_match_walk_and_flood_fill_property(bits):
-    assert_components_match_oracles(bits)
+    assert_mask_matches_oracles(bits)
 
 
 def test_fill_object_touching_right_and_bottom_edges():
@@ -519,38 +441,6 @@ def test_shared_encoding_gives_same_results_property(bits, min_width, pick,
         trace_contour(mask, start, fill_count=fill)
 
 
-def assert_band_encoding_exact(bits, min_width):
-    # the band's runs are the whole mask's, the band is a slice of the
-    # mask's rows holding every set row, and locate, with the fill, is the
-    # flood-fill oracle's; bits past width*height change none of it
-    mask = mask_from(bits)
-    for m in (mask, with_trailing_bits(mask)):
-        top, band, runs = region._encode(m)
-        assert all(np.array_equal(a, b) for a, b in zip(runs, _runs(bits)))
-        assert 0 <= top and top + len(band) <= bits.shape[0]
-        assert np.array_equal(band, bits[top:top + len(band)])
-        assert band.sum() == bits.sum()
-    reg = locate(mask, ScanParams(min_width), fill_count=True)
-    assert locate(with_trailing_bits(mask), ScanParams(min_width),
-                  fill_count=True) == reg
-    run = reference_initial_run(bits, min_width)
-    if run is None:
-        assert reg is None
-        return
-    box, n, centroid = flood_oracle(bits, (run[2], run[0]))
-    assert ((reg.top, reg.bottom, reg.left, reg.right), reg.pixel_count,
-            (reg.centroid_x, reg.centroid_y)) == (box, n, centroid)
-
-
-@pytest.mark.parametrize("shape", [(3, 4), (4, 3)])
-def test_band_encoding_exhaustive(shape):
-    # every 3x4 and 4x3 mask: 12 bits, so the one word has 20 trailing bits
-    h, w = shape
-    place = np.arange(h * w).reshape(shape)
-    for code in range(1 << (h * w)):
-        assert_band_encoding_exact((code >> place) & 1 == 1, 1 + code % 3)
-
-
 @st.composite
 def banded_masks(draw):
     """Masks of 1-40 x 1-12 whose set pixels lie in a band of rows, which
@@ -569,7 +459,7 @@ def banded_masks(draw):
 @given(banded_masks(), st.integers(1, 4))
 @settings(max_examples=200, deadline=None)
 def test_band_encoding_property(bits, min_width):
-    assert_band_encoding_exact(bits, min_width)
+    assert_mask_matches_oracles(bits, (min_width,))
 
 
 def test_bits_past_the_mask_are_never_read():

@@ -17,8 +17,9 @@ from colortrack.segmentation import (ChromaThreshold, PackedBinaryMask,
                                      RgbBoxThreshold, chromaticity,
                                      segment_chroma, segment_rgb,
                                      threshold_from_pick)
-from oracles import (filled_frame, mask_get, mask_set, naive_verdict,
-                     record_of, with_trailing_bits, zeros_mask)
+from oracles import (WIDENED, filled_frame, mask_get, mask_set,
+                     naive_verdict, record_of, verdict_oracle,
+                     with_trailing_bits, zeros_mask)
 
 
 def naive_bits(frame, threshold):
@@ -378,7 +379,6 @@ def test_segment_rgb_not_illumination_invariant():
 
 # pixel (x, y) of this frame holds word 256*y + x: every word exactly once
 ALL_WORDS = Frame(256, 256, np.arange(0x10000, dtype=np.uint16).reshape(256, 256))
-WIDENED = [widen(w) for w in range(0x10000)]
 
 
 # row w of this frame is all word w, 3 pixels wide: every word once as a
@@ -390,11 +390,11 @@ ROW_WORDS = Frame(3, 0x10000, np.repeat(
 def assert_every_word_matches_oracle(threshold):
     segment = (segment_rgb if isinstance(threshold, RgbBoxThreshold)
                else segment_chroma)
-    expected = [naive_verdict(r, g, b, threshold) for r, g, b in WIDENED]
+    expected = verdict_oracle(threshold)
     got = segment(ALL_WORDS, threshold).to_bool().reshape(-1)
-    assert got.tolist() == expected
+    assert np.array_equal(got, expected)
     rows = segment(ROW_WORDS, threshold).to_bool()
-    assert np.array_equal(rows, np.repeat(np.array(expected)[:, None], 3, 1))
+    assert np.array_equal(rows, np.repeat(expected[:, None], 3, 1))
 
 
 STOCK = Scenario()
@@ -530,5 +530,4 @@ def thresholds(draw):
 def test_verdict_table_matches_scalar_oracle(t):
     # the table and its uncached __wrapped__ build share one field grid;
     # this oracle shares nothing with it: a scalar verdict per word
-    expected = [naive_verdict(r, g, b, t) for r, g, b in WIDENED]
-    assert seg._verdict_table(t).tolist() == expected
+    assert np.array_equal(seg._verdict_table(t), verdict_oracle(t))
