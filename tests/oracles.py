@@ -8,6 +8,7 @@ or builds an input that no command builds. Each oracle has one copy,
 which every test imports.
 """
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -178,14 +179,13 @@ def component_oracles(bits):
 def reference_initial_run(bits, min_width):
     """Per-row scan for the first run of >= min_width set pixels:
     (row, left, right), or None."""
-    for y in range(bits.shape[0]):
-        cols = np.flatnonzero(bits[y])
-        if cols.size == 0:
-            continue
-        breaks = np.flatnonzero(np.diff(cols) > 1)
-        for run in np.split(cols, breaks + 1):
-            if run.size >= min_width:
-                return y, int(run[0]), int(run[-1])
+    for y, row in enumerate(bits.tolist()):
+        x = 0
+        for value, run in itertools.groupby(row):
+            n = len(list(run))
+            if value and n >= min_width:
+                return y, x, x + n - 1
+            x += n
     return None
 
 

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,43 +25,63 @@ def set_pixels(bits):
     return list(zip(xs.tolist(), ys.tolist()))
 
 
-def assert_mask_matches_oracles(bits, min_widths=(1, 2, 3), starts=None):
-    """The region core on one mask against the oracles.
-
-    `_encode` of the mask, and of its trailing-bits twin, holds the mask's
-    rows and `_runs`. `trace_contour` from each of `starts` (by default the
-    first pixel of each component) equals the walk of its component, and
-    with the fill, from the component's first start, the walk with the
-    flood fill's count and centroid. For each min_width the scan is the
-    per-row reference's, and `locate` with the fill, on the mask and on
-    its twin, is the oracle of the scan start's component.
-    """
+def assert_encoding_exact(bits):
+    """`_encode` of the mask, and of its trailing-bits twin, holds the
+    mask's rows and `_runs`."""
     mask = mask_from(bits)
-    twin = with_trailing_bits(mask)
     runs = _runs(bits)
-    for m in (mask, twin):
+    for m in (mask, with_trailing_bits(mask)):
         top, band, encoded = region._encode(m)
         assert all(np.array_equal(a, b) for a, b in zip(encoded, runs))
         assert 0 <= top <= top + len(band) <= len(bits)
         assert np.array_equal(band, bits[top:top + len(band)])
         assert band.sum() == bits.sum()
-    components = component_oracles(bits)
+
+
+def assert_traces_match_oracles(bits, components, starts, fill_count=False):
+    """`trace_contour` from each of `starts` is its component's walk, or
+    with the fill the walk with the flood fill's count and centroid."""
+    mask = mask_from(bits)
+    starts = set(starts)
     for pixels, walk, filled in components:
-        traced = (pixels[:1] if starts is None
-                  else [p for p in pixels if p in starts])
-        for start in traced:
-            assert trace_contour(mask, start) == walk, start
-        if traced:
-            assert trace_contour(mask, traced[0], fill_count=True) == filled
+        for start in starts.intersection(pixels):
+            assert trace_contour(mask, start, fill_count=fill_count) == \
+                (filled if fill_count else walk), start
+
+
+def assert_scan_matches_reference(bits, min_widths):
+    mask = mask_from(bits)
     for min_width in min_widths:
-        params = ScanParams(min_width)
+        assert find_initial_run(mask, ScanParams(min_width)) == \
+            reference_initial_run(bits, min_width), min_width
+
+
+def assert_locate_matches_oracles(bits, components, min_widths):
+    """For each min_width, `locate` with the fill, on the mask and on its
+    twin, is the oracle of the component of the reference scan's start."""
+    mask = mask_from(bits)
+    for min_width in min_widths:
         run = reference_initial_run(bits, min_width)
-        assert find_initial_run(mask, params) == run, min_width
         found = None if run is None else next(
             filled for pixels, _, filled in components
             if (run[2], run[0]) in pixels)
-        for m in (mask, twin):
-            assert locate(m, params, fill_count=True) == found, min_width
+        for m in (mask, with_trailing_bits(mask)):
+            assert locate(m, ScanParams(min_width), fill_count=True) == found
+
+
+def assert_mask_matches_oracles(bits, min_widths=(1, 2, 3), starts=None):
+    """The region core on one mask against the oracles: the encoding, the
+    walk from each of `starts` (by default each component's first pixel),
+    the fill from each component's first pixel, and the scan and `locate`
+    at each min_width."""
+    components = component_oracles(bits)
+    firsts = [pixels[0] for pixels, _, _ in components]
+    assert_encoding_exact(bits)
+    assert_traces_match_oracles(bits, components,
+                                firsts if starts is None else starts)
+    assert_traces_match_oracles(bits, components, firsts, fill_count=True)
+    assert_scan_matches_reference(bits, min_widths)
+    assert_locate_matches_oracles(bits, components, min_widths)
 
 
 def test_scan_params_validation():
@@ -158,15 +180,47 @@ def test_trace_limits_match_flood_fill_property(seed):
         random_blob(rng, steps=int(rng.integers(1, 120))), (1,))
 
 
-@pytest.mark.parametrize("shape", [(3, 4), (4, 3)])
-def test_every_small_mask(shape):
-    # every 3x4 and 4x3 mask, traced from every set pixel: 12 bits, so the
-    # one word has 20 trailing bits
+@functools.lru_cache(maxsize=None)
+def small_masks(shape):
+    """Every mask of `shape` with its `component_oracles`, built once for
+    the four tests below, which split the per-mask assertion's checks."""
     h, w = shape
     place = np.arange(h * w).reshape(shape)
-    for code in range(1 << (h * w)):
-        bits = (code >> place) & 1 == 1
-        assert_mask_matches_oracles(bits, starts=set_pixels(bits))
+    masks = ((code >> place) & 1 == 1 for code in range(1 << (h * w)))
+    return [(bits, component_oracles(bits)) for bits in masks]
+
+
+SMALL_SHAPES = [(3, 4), (4, 3)]  # 12 bits: the one word has 20 trailing bits
+
+
+@pytest.mark.parametrize("shape", SMALL_SHAPES)
+def test_band_encoding_exhaustive(shape):
+    for bits, _ in small_masks(shape):
+        assert_encoding_exact(bits)
+
+
+@pytest.mark.parametrize("shape", SMALL_SHAPES)
+def test_exhaustive_small_masks(shape):
+    for bits, _ in small_masks(shape):
+        assert_scan_matches_reference(bits, (1, 2, 3))
+
+
+@pytest.mark.parametrize("shape", SMALL_SHAPES)
+def test_locate_descriptor_independent_of_min_width(shape):
+    # locate at each min_width is the oracle of its scan start's component,
+    # so two widths that start in one component describe it identically
+    for bits, components in small_masks(shape):
+        assert_locate_matches_oracles(bits, components, (1, 2, 3))
+
+
+@pytest.mark.parametrize("shape", SMALL_SHAPES)
+def test_trace_matches_reference_walk_exhaustive(shape):
+    # the walk from every set pixel, the fill from each component's first
+    for bits, components in small_masks(shape):
+        assert_traces_match_oracles(bits, components, set_pixels(bits))
+        assert_traces_match_oracles(
+            bits, components, [pixels[0] for pixels, _, _ in components],
+            fill_count=True)
 
 
 @pytest.mark.parametrize("rows, min_width, run, limits, count", [
@@ -211,13 +265,29 @@ def test_runs_round_trip_property(bits):
     assert np.all(x0[1:][same_row] > x1[:-1][same_row] + 1)
 
 
-@given(random_masks, st.integers(0, 2**32 - 1), st.integers(1, 4))
-@settings(max_examples=100, deadline=None)
-def test_random_masks_match_oracles_property(bits, pick, min_width):
-    # the walk and the fill from one drawn pixel
+def any_pixel(bits, pick):
     pixels = set_pixels(bits)
-    starts = [pixels[pick % len(pixels)]] if pixels else []
-    assert_mask_matches_oracles(bits, (min_width,), starts)
+    return [pixels[pick % len(pixels)]] if pixels else []
+
+
+@given(random_masks, st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_fill_from_any_pixel_property(bits, pick):
+    assert_traces_match_oracles(bits, component_oracles(bits),
+                                any_pixel(bits, pick), fill_count=True)
+
+
+@given(random_masks, st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_trace_matches_reference_walk_property(bits, pick):
+    assert_traces_match_oracles(bits, component_oracles(bits),
+                                any_pixel(bits, pick))
+
+
+@given(random_masks, st.integers(1, 4))
+@settings(max_examples=100, deadline=None)
+def test_locate_limits_match_flood_fill_property(bits, min_width):
+    assert_locate_matches_oracles(bits, component_oracles(bits), (min_width,))
 
 
 def test_crop_above_the_last_row_is_exact_exhaustive():
